@@ -19,7 +19,7 @@ use crate::shrink::shrink;
 
 /// Schema version of fuzz reproducers and summaries (shared with the
 /// repro artifact schema).
-pub const FUZZ_SCHEMA_VERSION: u64 = 8;
+pub const FUZZ_SCHEMA_VERSION: u64 = 9;
 
 /// Default shrink budget: oracle evaluations spent minimizing the first
 /// failure of each oracle.

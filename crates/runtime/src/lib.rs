@@ -77,6 +77,68 @@ pub enum RuntimeError {
     },
     /// A functional simulation error during co-simulation.
     Sim(Box<dyn std::error::Error>),
+    /// A cloud-simulation run invariant failed. Checked in every build
+    /// profile: a run that breaks one would otherwise return a wrong
+    /// report.
+    InvariantViolated(Invariant),
+}
+
+/// The run invariants the cloud simulator checks before it returns a
+/// report (see [`RuntimeError::InvariantViolated`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Invariant {
+    /// A completion fired for a task that holds no deployment.
+    CompletionNotRunning {
+        /// The task's arrival index.
+        task: usize,
+    },
+    /// Tasks still held deployments when the event queue drained.
+    RunningAtDrain {
+        /// How many tasks were still running.
+        running: usize,
+    },
+    /// Spans were still open after the run closed every task's spans.
+    SpanOpenPastRun {
+        /// How many spans were still open.
+        open: usize,
+    },
+    /// `completed + never_deployed + lost != arrivals`.
+    ArrivalsUnaccounted {
+        /// Tasks that arrived.
+        arrivals: u64,
+        /// Tasks completed.
+        completed: u64,
+        /// Tasks stranded in the queue at drain.
+        never_deployed: u64,
+        /// Tasks dropped after exhausting migration retries.
+        lost: u64,
+    },
+}
+
+impl fmt::Display for Invariant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Invariant::CompletionNotRunning { task } => {
+                write!(f, "completion for task {task}, which is not running")
+            }
+            Invariant::RunningAtDrain { running } => write!(
+                f,
+                "{running} tasks still running after the event queue drained"
+            ),
+            Invariant::SpanOpenPastRun { open } => {
+                write!(f, "{open} spans still open past the run")
+            }
+            Invariant::ArrivalsUnaccounted {
+                arrivals,
+                completed,
+                never_deployed,
+                lost,
+            } => write!(
+                f,
+                "arrivals unaccounted for: {completed} completed + {never_deployed} never deployed + {lost} lost != {arrivals}"
+            ),
+        }
+    }
 }
 
 impl fmt::Display for RuntimeError {
@@ -96,6 +158,7 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::Sim(e) => write!(f, "simulation error: {e}"),
+            RuntimeError::InvariantViolated(inv) => write!(f, "run invariant violated: {inv}"),
         }
     }
 }

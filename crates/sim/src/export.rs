@@ -208,8 +208,9 @@ pub fn prometheus_text(metrics: &MetricsRegistry) -> String {
     for (name, id) in metrics.timers() {
         let (base, _) = split_labels(name);
         push_header(&mut out, metrics, name, &base, "summary", &mut last_base);
-        for q in [0.5, 0.95, 0.99] {
-            if let Some(v) = metrics.timer_quantile(id, q) {
+        let qs = [0.5, 0.95, 0.99];
+        for (q, v) in qs.into_iter().zip(metrics.timer_quantiles(id, qs)) {
+            if let Some(v) = v {
                 out.push_str(&format!("{base}{{quantile=\"{q}\"}} {}\n", fmt(v)));
             }
         }

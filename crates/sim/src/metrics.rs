@@ -241,15 +241,22 @@ impl Timer {
         self.seen += 1;
     }
 
-    fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    /// The `qs`-quantiles over retained samples, sorting them once for
+    /// the whole set.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [Option<f64>; N] {
+        for q in qs {
+            assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        }
         if self.samples.is_empty() {
-            return None;
+            return [None; N];
         }
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("timer samples are finite"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
+        let n = sorted.len();
+        qs.map(|q| {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+            Some(sorted[rank - 1])
+        })
     }
 }
 
@@ -364,7 +371,19 @@ impl MetricsRegistry {
     ///
     /// Panics if `q` is outside `0.0..=1.0`.
     pub fn timer_quantile(&self, id: TimerId, q: f64) -> Option<f64> {
-        self.timers[id.0].quantile(q)
+        let [v] = self.timers[id.0].quantiles([q]);
+        v
+    }
+
+    /// Several of the timer's quantiles at once, sorting the retained
+    /// samples once for the whole set; each entry equals
+    /// [`timer_quantile`](Self::timer_quantile) at that `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `q` is outside `0.0..=1.0`.
+    pub fn timer_quantiles<const N: usize>(&self, id: TimerId, qs: [f64; N]) -> [Option<f64>; N] {
+        self.timers[id.0].quantiles(qs)
     }
 
     /// Iterates registered counters as `(name, value)` in registration
@@ -408,14 +427,15 @@ impl MetricsRegistry {
         }
         let mut timers = Json::obj();
         for (name, t) in self.timer_names.iter().zip(&self.timers) {
+            let [p50, p95, p99] = t.quantiles([0.50, 0.95, 0.99]);
             timers = timers.with(
                 name,
                 Json::obj()
                     .with("count", t.summary.count())
                     .with("mean", t.summary.mean())
-                    .with("p50", t.quantile(0.50))
-                    .with("p95", t.quantile(0.95))
-                    .with("p99", t.quantile(0.99))
+                    .with("p50", p50)
+                    .with("p95", p95)
+                    .with("p99", p99)
                     .with("min", t.summary.min())
                     .with("max", t.summary.max()),
             );
@@ -532,6 +552,35 @@ mod tests {
             (p50 - expect).abs() / expect < 0.02,
             "p50 {p50} vs {expect}"
         );
+    }
+
+    #[test]
+    fn batched_quantiles_match_single_quantiles() {
+        // Pins the ceil-rank convention: values recorded out of order,
+        // with duplicates, read back identically one quantile at a time
+        // and all at once from a single sort.
+        let mut m = MetricsRegistry::new();
+        let t = m.timer("lat");
+        for i in 0..37u64 {
+            m.record_timer(t, ((i * 17) % 23) as f64 * 0.5);
+        }
+        let qs = [0.0, 0.25, 0.50, 0.95, 0.99, 1.0];
+        let batched = m.timer_quantiles(t, qs);
+        let single = qs.map(|q| m.timer_quantile(t, q));
+        assert_eq!(batched, single);
+        assert_eq!(
+            batched,
+            [
+                Some(0.0),
+                Some(2.5),
+                Some(5.5),
+                Some(11.0),
+                Some(11.0),
+                Some(11.0)
+            ]
+        );
+        let empty = m.timer("empty");
+        assert_eq!(m.timer_quantiles(empty, qs), [None; 6]);
     }
 
     #[test]

@@ -408,31 +408,47 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Builds the profile from a tracer's span forest.
+    /// Builds the profile from a tracer's span forest in one pass: span
+    /// ids are dense and a child always begins after its parent, so every
+    /// root is classified before its children are bucketed.
     pub fn analyze(spans: &SpanTracer) -> CriticalPath {
-        let mut tasks = Vec::new();
-        for root in spans.spans() {
-            if root.parent.is_some() || root.name != "task" {
-                continue;
-            }
-            let Some(end) = root.end else { continue };
-            if !root.attr_is("outcome", "completed") {
-                continue;
-            }
-            let mut buckets: BTreeMap<&'static str, SimTime> = BTreeMap::new();
-            for child in spans.spans() {
-                if child.parent != Some(root.id) {
-                    continue;
+        let all = spans.spans();
+        // `task_of[id]`: the index in `tasks` of a completed task root.
+        let mut task_of: Vec<Option<usize>> = vec![None; all.len()];
+        let mut tasks: Vec<(PhaseBuckets, BTreeMap<&'static str, SimTime>)> = Vec::new();
+        for span in all {
+            match span.parent {
+                None => {
+                    let Some(end) = span.end else { continue };
+                    if span.name != "task" || !span.attr_is("outcome", "completed") {
+                        continue;
+                    }
+                    task_of[span.id.0 as usize] = Some(tasks.len());
+                    tasks.push((
+                        PhaseBuckets {
+                            trace: span.trace,
+                            total: end.saturating_sub(span.begin),
+                            phases: Vec::new(),
+                        },
+                        BTreeMap::new(),
+                    ));
                 }
-                let d = child.duration().unwrap_or(SimTime::ZERO);
-                *buckets.entry(child.name).or_insert(SimTime::ZERO) += d;
+                Some(parent) => {
+                    let Some(k) = task_of[parent.0 as usize] else {
+                        continue;
+                    };
+                    let d = span.duration().unwrap_or(SimTime::ZERO);
+                    *tasks[k].1.entry(span.name).or_insert(SimTime::ZERO) += d;
+                }
             }
-            tasks.push(PhaseBuckets {
-                trace: root.trace,
-                total: end.saturating_sub(root.begin),
-                phases: buckets.into_iter().collect(),
-            });
         }
+        let mut tasks: Vec<PhaseBuckets> = tasks
+            .into_iter()
+            .map(|(mut task, buckets)| {
+                task.phases = buckets.into_iter().collect();
+                task
+            })
+            .collect();
         tasks.sort_by_key(|t| t.trace);
         CriticalPath { tasks }
     }
