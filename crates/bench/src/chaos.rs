@@ -10,7 +10,7 @@
 //! run is exactly reproducible: same seed, byte-identical report.
 
 use vfpga_runtime::{
-    run_cloud_sim_faulted, CloudReport, Policy, RecoveryPolicy, SystemController,
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Policy, RecoveryPolicy, SystemController,
     DEFAULT_TRACE_CAPACITY,
 };
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, SimTime};
@@ -142,7 +142,7 @@ pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
     controller.set_feasibility_cache(config.feasibility_cache);
-    let report = run_cloud_sim_faulted(
+    let report = run_cloud_sim_tuned(
         &mut controller,
         &arrivals,
         &|task| catalog.instance_for(task),
@@ -150,6 +150,7 @@ pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
         &plan,
         config.recovery,
         DEFAULT_TRACE_CAPACITY,
+        AdmissionTuning::default(),
     )
     .expect("chaos simulation completes");
     ChaosReport {

@@ -11,7 +11,9 @@
 //! failures use. Everything is seeded, so a run is exactly reproducible:
 //! same seed, byte-identical report.
 
-use vfpga_runtime::{run_cloud_sim_faulted, CloudReport, Policy, RecoveryPolicy, SystemController};
+use vfpga_runtime::{
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Policy, RecoveryPolicy, SystemController,
+};
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, TraceEventKind};
 use vfpga_workload::{generate_workload, Composition};
 
@@ -201,7 +203,7 @@ pub fn run(catalog: &Catalog, config: &NetChaosConfig) -> NetChaosReport {
     );
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    let report = run_cloud_sim_faulted(
+    let report = run_cloud_sim_tuned(
         &mut controller,
         &arrivals,
         &|task| catalog.instance_for(task),
@@ -209,6 +211,7 @@ pub fn run(catalog: &Catalog, config: &NetChaosConfig) -> NetChaosReport {
         &plan,
         config.recovery,
         NETCHAOS_TRACE_CAPACITY,
+        AdmissionTuning::default(),
     )
     .expect("network-chaos simulation completes");
     NetChaosReport {

@@ -364,34 +364,18 @@ impl SystemController {
     /// order so the caller can migrate them. After this call no live
     /// deployment references the failed device.
     ///
-    /// Idempotent: failing an already-failed device interrupts nothing.
-    pub fn handle_device_failure(&mut self, device: DeviceId) -> Vec<DeploymentId> {
-        self.handle_device_failure_inner(device)
-    }
-
-    /// [`handle_device_failure`] with span tracing: the whole eviction is
-    /// recorded as a zero-duration `device_failure` control-plane span
-    /// ([`TraceId::NONE`], the failed device's `control` lane) carrying the
-    /// device id and the number of interrupted deployments — so Perfetto
-    /// shows failure-handling markers on each FPGA row.
+    /// With a span context the eviction is recorded as a zero-duration
+    /// `device_failure` span on the failed device's `control` lane (the
+    /// cloud simulator passes [`TraceId::NONE`] and no parent) carrying
+    /// the device id and the number of interrupted deployments — so
+    /// Perfetto shows failure-handling markers on each FPGA row.
     ///
-    /// [`handle_device_failure`]: SystemController::handle_device_failure
-    pub fn handle_device_failure_spanned(
+    /// Idempotent: failing an already-failed device interrupts nothing.
+    pub fn handle_device_failure(
         &mut self,
         device: DeviceId,
-        spans: &mut SpanTracer,
-        at: SimTime,
+        ctx: Option<SpanCtx<'_>>,
     ) -> Vec<DeploymentId> {
-        let span = spans.begin("device_failure", TraceId::NONE, None, at);
-        spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
-        spans.attr(span, "device", device.0);
-        let interrupted = self.handle_device_failure_inner(device);
-        spans.attr(span, "interrupted", interrupted.len());
-        spans.end(span, at);
-        interrupted
-    }
-
-    fn handle_device_failure_inner(&mut self, device: DeviceId) -> Vec<DeploymentId> {
         let was_healthy = self.llc.device_health(device) == DeviceHealth::Healthy;
         let evicted = self.llc.evict_device(device);
         if was_healthy {
@@ -419,6 +403,15 @@ impl SystemController {
             }
         }
         self.stats.interrupted += interrupted.len() as u64;
+        if let Some(ctx) = ctx {
+            let span = ctx
+                .spans
+                .begin("device_failure", ctx.trace, ctx.parent, ctx.at);
+            ctx.spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
+            ctx.spans.attr(span, "device", device.0);
+            ctx.spans.attr(span, "interrupted", interrupted.len());
+            ctx.spans.end(span, ctx.at);
+        }
         interrupted
     }
 
@@ -436,7 +429,7 @@ impl SystemController {
     /// Returns [`RuntimeError::UnknownInstance`] for unregistered
     /// instances.
     pub fn try_deploy(&mut self, instance: &str) -> Result<Option<Deployment>, RuntimeError> {
-        self.try_deploy_explained(instance).map(|r| r.ok())
+        self.try_deploy_explained(instance, None).map(|r| r.ok())
     }
 
     /// Attempts to deploy an instance, reporting *why* when turned down:
@@ -449,26 +442,10 @@ impl SystemController {
     /// allocation — minimizing the number of allocated FPGAs and therefore
     /// the inter-FPGA communication overhead (Section 2.3).
     ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances.
-    pub fn try_deploy_explained(
-        &mut self,
-        instance: &str,
-    ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let outcome = self.deploy_inner(instance, None)?;
-        match &outcome {
-            Ok(_) => self.stats.deploys += 1,
-            Err(reason) => self.stats.rejects[reason.index()] += 1,
-        }
-        Ok(outcome)
-    }
-
-    /// [`try_deploy_explained`] with span tracing: the decision is recorded
-    /// as a zero-duration `deploy` span under `parent` (the task's root
-    /// span in the cloud simulator) carrying the instance name plus the
-    /// outcome — `deployed` with the unit count, or `rejected` with the
+    /// With a span context the decision is recorded as a zero-duration
+    /// `deploy` span under the context's parent (the task's current phase
+    /// in the cloud simulator) carrying the instance name plus the outcome
+    /// — `deployed` with the unit count, or `rejected` with the
     /// [`RejectReason`] label. Each partial-reconfiguration request the
     /// commit issues nests as a `reconfigure` child on the target device's
     /// lane, so one glance at Perfetto shows *which* FPGAs an admission
@@ -476,33 +453,34 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Exactly as [`try_deploy_explained`].
-    ///
-    /// [`try_deploy_explained`]: SystemController::try_deploy_explained
-    pub fn try_deploy_spanned(
+    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
+    /// instances.
+    pub fn try_deploy_explained(
         &mut self,
         instance: &str,
-        spans: &mut SpanTracer,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        at: SimTime,
+        ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let span = Self::begin_deploy_span(instance, spans, trace, parent, at);
-        let outcome = self.deploy_inner(
-            instance,
-            Some(SpanCtx {
-                spans,
-                trace,
-                parent: Some(span),
-                at,
-            }),
-        );
-        self.end_deploy_span(&outcome, spans, span, at);
+        // An untraced attempt runs the same path against a disabled tracer,
+        // which records nothing and allocates nothing.
+        let mut untraced = SpanTracer::disabled();
+        let mut ctx = ctx.unwrap_or(SpanCtx {
+            spans: &mut untraced,
+            trace: TraceId::NONE,
+            parent: None,
+            at: SimTime::ZERO,
+        });
+        let span = Self::begin_deploy_span(instance, ctx.spans, ctx.trace, ctx.parent, ctx.at);
+        let nested = SpanCtx {
+            parent: Some(span),
+            ..ctx.reborrow()
+        };
+        let outcome = self.deploy_inner(instance, Some(nested));
+        self.end_deploy_span(&outcome, ctx.spans, span, ctx.at);
         outcome
     }
 
-    /// Books a rejection the caller already knows a
-    /// [`try_deploy_spanned`](Self::try_deploy_spanned) call would answer
+    /// Books a rejection the caller already knows a traced
+    /// [`try_deploy_explained`](Self::try_deploy_explained) call would answer
     /// from the feasibility cache — the cloud simulator's per-wave
     /// rejected-instance memo. It books exactly what that cache hit
     /// books: `cache_hits`, the per-reason reject counter, and the same
@@ -1279,7 +1257,7 @@ mod tests {
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let mut held = Vec::new();
         loop {
-            match c.try_deploy_explained("big").unwrap() {
+            match c.try_deploy_explained("big", None).unwrap() {
                 Ok(d) => held.push(d),
                 Err(reason) => {
                     // The full policy never excludes an option and has no
@@ -1298,7 +1276,7 @@ mod tests {
         }
         assert_eq!(c.stats().releases, held.len() as u64);
         // Capacity is back.
-        assert!(c.try_deploy_explained("big").unwrap().is_ok());
+        assert!(c.try_deploy_explained("big", None).unwrap().is_ok());
     }
 
     #[test]
@@ -1308,9 +1286,9 @@ mod tests {
         let prov = vec!["tiny".to_string(); n];
         let mut c = SystemController::new(cluster, db, Policy::Baseline).with_provisioning(prov);
         for _ in 0..n {
-            assert!(c.try_deploy_explained("tiny").unwrap().is_ok());
+            assert!(c.try_deploy_explained("tiny", None).unwrap().is_ok());
         }
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy_explained("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::NoFreeDevice);
         assert_eq!(c.stats().rejects_for(RejectReason::NoFreeDevice), 1);
     }
@@ -1337,12 +1315,15 @@ mod tests {
         });
         // Baseline filters out every option — even on an idle cluster.
         let mut base = SystemController::new(cluster.clone(), db2.clone(), Policy::Baseline);
-        let rejected = base.try_deploy_explained("huge").unwrap().unwrap_err();
+        let rejected = base
+            .try_deploy_explained("huge", None)
+            .unwrap()
+            .unwrap_err();
         assert_eq!(rejected, RejectReason::PolicyExcluded);
         assert_eq!(base.stats().rejects_for(RejectReason::PolicyExcluded), 1);
         // The full policy deploys the same entry fine.
         let mut full = SystemController::new(cluster, db2, Policy::Full);
-        let d = full.try_deploy_explained("huge").unwrap().unwrap();
+        let d = full.try_deploy_explained("huge", None).unwrap().unwrap();
         assert!(d.num_units() > 1);
     }
 
@@ -1384,7 +1365,7 @@ mod tests {
             assert!(held.len() < 100);
         }
         let live_before = c.live_deployments();
-        let interrupted = c.handle_device_failure(DeviceId(0));
+        let interrupted = c.handle_device_failure(DeviceId(0), None);
         assert!(!interrupted.is_empty());
         assert!(interrupted.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(c.live_deployments(), live_before - interrupted.len());
@@ -1399,7 +1380,7 @@ mod tests {
             .expect("interrupted deployment in held set");
         assert!(c.release(gone).is_err());
         // Idempotent: a second failure of the same device is a no-op.
-        assert!(c.handle_device_failure(DeviceId(0)).is_empty());
+        assert!(c.handle_device_failure(DeviceId(0), None).is_empty());
         // New placements avoid the failed device.
         let d = c.try_deploy("tiny").unwrap().expect("survivors have room");
         assert!(d.placements.iter().all(|p| p.device != DeviceId(0)));
@@ -1413,10 +1394,10 @@ mod tests {
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         for i in 0..n {
-            c.handle_device_failure(DeviceId(i));
+            c.handle_device_failure(DeviceId(i), None);
         }
         assert_eq!(c.occupancy(), 0.0);
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy_explained("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::InsufficientCapacity);
     }
 
@@ -1425,7 +1406,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         c.enable_transient_faults(1.0, 7);
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy_explained("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::TransientFault);
         assert_eq!(c.stats().rejects_for(RejectReason::TransientFault), 1);
         // Nothing leaked: the rolled-back attempt left the cluster empty.
@@ -1443,7 +1424,15 @@ mod tests {
         let at = SimTime::from_us(10.0);
         let root = spans.begin("task", TraceId(0), None, SimTime::ZERO);
         let d = c
-            .try_deploy_spanned("tiny", &mut spans, TraceId(0), Some(root), at)
+            .try_deploy_explained(
+                "tiny",
+                Some(SpanCtx {
+                    spans: &mut spans,
+                    trace: TraceId(0),
+                    parent: Some(root),
+                    at,
+                }),
+            )
             .unwrap()
             .unwrap();
         // One deploy span with nested reconfigure children, all closed.
@@ -1476,7 +1465,15 @@ mod tests {
         // A rejection records the reason label.
         let mut held = vec![d];
         while let Ok(d) = c
-            .try_deploy_spanned("big", &mut spans, TraceId(1), None, at)
+            .try_deploy_explained(
+                "big",
+                Some(SpanCtx {
+                    spans: &mut spans,
+                    trace: TraceId(1),
+                    parent: None,
+                    at,
+                }),
+            )
             .unwrap()
         {
             held.push(d);
@@ -1506,7 +1503,15 @@ mod tests {
             assert!(held.len() < 100);
         }
         let at = SimTime::from_us(25.0);
-        let interrupted = c.handle_device_failure_spanned(DeviceId(0), &mut spans, at);
+        let interrupted = c.handle_device_failure(
+            DeviceId(0),
+            Some(SpanCtx {
+                spans: &mut spans,
+                trace: TraceId::NONE,
+                parent: None,
+                at,
+            }),
+        );
         assert!(!interrupted.is_empty());
         let span = spans.span(vfpga_sim::SpanId(0));
         assert_eq!(span.name, "device_failure");
@@ -1537,7 +1542,7 @@ mod tests {
         // Saturated: further attempts replay the cached rejection without
         // probing, and the reason is stable.
         for _ in 0..5 {
-            let rejected = c.try_deploy_explained("big").unwrap().unwrap_err();
+            let rejected = c.try_deploy_explained("big", None).unwrap().unwrap_err();
             assert_eq!(rejected, RejectReason::InsufficientCapacity);
         }
         assert_eq!(c.stats().probes, probes_after_fill);
@@ -1564,7 +1569,7 @@ mod tests {
             let mut outcomes = Vec::new();
             let mut held = Vec::new();
             for _ in 0..40 {
-                match c.try_deploy_explained("big").unwrap() {
+                match c.try_deploy_explained("big", None).unwrap() {
                     Ok(d) => {
                         outcomes.push(Ok(d
                             .placements
@@ -1611,11 +1616,11 @@ mod tests {
         c.release(&d).unwrap();
         let e1 = c.capacity_epoch();
         assert!(e1 > e0, "release opens an epoch");
-        c.handle_device_failure(DeviceId(0));
+        c.handle_device_failure(DeviceId(0), None);
         let e2 = c.capacity_epoch();
         assert!(e2 > e1, "eviction opens an epoch");
         // Idempotent re-failure does not.
-        c.handle_device_failure(DeviceId(0));
+        c.handle_device_failure(DeviceId(0), None);
         assert_eq!(c.capacity_epoch(), e2);
         c.handle_device_recovery(DeviceId(0));
         let e3 = c.capacity_epoch();

@@ -21,13 +21,15 @@
 //!   [`RejectReason`]), a metrics registry, and a scheduler-event trace —
 //!   with the accounting invariant `completed + never_deployed + lost ==
 //!   arrivals` (queued tasks are never silently dropped).
-//! * [`run_cloud_sim_faulted`] — the same simulation interleaved with a
-//!   [`vfpga_sim::FaultPlan`]'s device fail/recover waves: interrupted
-//!   deployments migrate to surviving devices with bounded exponential
-//!   backoff (see [`RecoveryPolicy`]), falling back to deeper partition
-//!   variants when the original footprint no longer fits, and the report
-//!   gains recovery accounting (interruptions, migrations, mean
-//!   time-to-recovery, degraded-mode occupancy).
+//! * [`run_cloud_sim_tuned`] — the same simulation with every knob
+//!   explicit: a [`vfpga_sim::FaultPlan`]'s device and ring-segment fault
+//!   waves, where interrupted deployments migrate to surviving devices
+//!   with bounded exponential backoff (see [`RecoveryPolicy`]), falling
+//!   back to deeper partition variants when the original footprint no
+//!   longer fits, and the report gains recovery accounting
+//!   (interruptions, migrations, mean time-to-recovery, degraded-mode
+//!   occupancy); the trace-ring capacity; and the [`AdmissionTuning`]
+//!   (admission fast path, spans, elasticity, streaming telemetry).
 //! * [`co_simulate_timing`]/[`co_simulate_functional`] — coupled simulation
 //!   of scaled-down accelerators exchanging state over the inter-FPGA ring,
 //!   with a configurable added link latency (the paper's programmable
@@ -41,8 +43,8 @@ mod scaleout_sim;
 mod testutil;
 
 pub use cloudsim::{
-    run_cloud_sim, run_cloud_sim_faulted, run_cloud_sim_traced, run_cloud_sim_tuned,
-    AdmissionTuning, CloudReport, ElasticityPolicy, RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim, run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy,
+    RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
 };
 pub use controller::{
     ControllerStats, Deployment, DeploymentId, Placement, Policy, RejectReason, ScaleDown,
@@ -102,6 +104,23 @@ pub enum Invariant {
         /// How many spans were still open.
         open: usize,
     },
+    /// The controller interrupted a deployment no task holds.
+    UnknownDeployment {
+        /// The interrupted deployment's id.
+        deployment: u64,
+    },
+    /// An interruption, preemption or resize targeted a task that holds
+    /// no deployment.
+    TaskNotRunning {
+        /// The task's arrival index.
+        task: usize,
+    },
+    /// A redeployment was booked as a recovery for a task with no pending
+    /// interruption.
+    RecoveryWithoutInterruption {
+        /// The task's arrival index.
+        task: usize,
+    },
     /// `completed + never_deployed + lost != arrivals`.
     ArrivalsUnaccounted {
         /// Tasks that arrived.
@@ -125,6 +144,15 @@ impl fmt::Display for Invariant {
                 f,
                 "{running} tasks still running after the event queue drained"
             ),
+            Invariant::UnknownDeployment { deployment } => {
+                write!(f, "deployment {deployment} was interrupted but no task holds it")
+            }
+            Invariant::TaskNotRunning { task } => {
+                write!(f, "task {task} was to be interrupted or resized but is not running")
+            }
+            Invariant::RecoveryWithoutInterruption { task } => {
+                write!(f, "task {task} recovered without a pending interruption")
+            }
             Invariant::SpanOpenPastRun { open } => {
                 write!(f, "{open} spans still open past the run")
             }
@@ -164,6 +192,12 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+impl From<Invariant> for RuntimeError {
+    fn from(inv: Invariant) -> Self {
+        RuntimeError::InvariantViolated(inv)
+    }
+}
 
 impl From<vfpga_hsabs::HsError> for RuntimeError {
     fn from(e: vfpga_hsabs::HsError) -> Self {

@@ -322,7 +322,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     let probes_before = c.stats().probes;
     let epoch = c.capacity_epoch();
     for _ in 0..3 {
-        let outcome = c.try_deploy_explained("bw-l").unwrap();
+        let outcome = c.try_deploy_explained("bw-l", None).unwrap();
         assert_eq!(outcome.unwrap_err(), RejectReason::InsufficientCapacity);
     }
     assert_eq!(
@@ -358,7 +358,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     // capacity a scale-down redeploy then claims) — the epoch must move
     // even though the failed device itself left the pool.
     let victim_device = redeployed.placements[0].device;
-    let interrupted = c.handle_device_failure(victim_device);
+    let interrupted = c.handle_device_failure(victim_device, None);
     assert!(!interrupted.is_empty(), "the failed device held units");
     assert_ne!(c.capacity_epoch(), epoch, "evict must invalidate");
     let epoch = c.capacity_epoch();
@@ -389,9 +389,9 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
         "no-op recovery must not invalidate"
     );
     let other = DeviceId(victim_device.0);
-    c.handle_device_failure(other);
+    c.handle_device_failure(other, None);
     let failed_epoch = c.capacity_epoch();
-    c.handle_device_failure(other);
+    c.handle_device_failure(other, None);
     assert_eq!(
         c.capacity_epoch(),
         failed_epoch,

@@ -163,7 +163,7 @@ fn no_live_deployment_references_a_failed_device() {
     let devices = controller.cluster().len();
     for victim in 0..devices {
         let victim = DeviceId(victim);
-        let interrupted = controller.handle_device_failure(victim);
+        let interrupted = controller.handle_device_failure(victim, None);
         assert_eq!(controller.device_health(victim), DeviceHealth::Failed);
         assert_eq!(
             controller.allocations_on(victim),

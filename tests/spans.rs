@@ -8,7 +8,9 @@
 
 use std::collections::HashMap;
 
-use vfpga::runtime::{run_cloud_sim_faulted, Policy, RecoveryPolicy, SystemController};
+use vfpga::runtime::{
+    run_cloud_sim_tuned, AdmissionTuning, Policy, RecoveryPolicy, SystemController,
+};
 use vfpga::sim::{
     chrome_trace_events, CriticalPath, FaultPlan, FaultPlanParams, Rng, SimTime, SpanId, TraceId,
 };
@@ -35,7 +37,7 @@ fn random_run(catalog: &Catalog, rng: &mut Rng) -> vfpga::runtime::CloudReport {
     );
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    run_cloud_sim_faulted(
+    run_cloud_sim_tuned(
         &mut controller,
         &arrivals,
         &|task| catalog.instance_for(task),
@@ -43,6 +45,7 @@ fn random_run(catalog: &Catalog, rng: &mut Rng) -> vfpga::runtime::CloudReport {
         &plan,
         RecoveryPolicy::default(),
         4096,
+        AdmissionTuning::default(),
     )
     .expect("faulted simulation completes")
 }
