@@ -23,7 +23,7 @@ use vfpga_core::{
 };
 use vfpga_fabric::{Cluster, DeviceId, DeviceType, MemoryKind, ResourceVec};
 use vfpga_hsabs::{HsCompiler, HsError, LowLevelController, VirtualBlockSpec};
-use vfpga_isa::{assemble, BfpFormat, MReg, Program, VReg, F16};
+use vfpga_isa::{assemble, BfpFormat, Instruction, MReg, Program, VReg, F16};
 use vfpga_runtime::{
     co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, Policy, RecoveryPolicy,
     SystemController, DEFAULT_TRACE_CAPACITY,
@@ -354,6 +354,7 @@ fn check_program_reorder(input: &FuzzInput) -> Result<(), String> {
     if program.is_empty() {
         return Ok(());
     }
+    check_dep_graph_reference(&program)?;
     let order = random_topo_order(&program, spec.order_seed);
     if order.len() != program.len() {
         return Err("dependence graph is cyclic (topo order incomplete)".into());
@@ -389,6 +390,84 @@ fn check_program_reorder(input: &FuzzInput) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Checks `DepGraph::build` against the naive O(n²) reference. Two
+/// instructions conflict when they share a register as RAW, WAR or WAW,
+/// touch the same DRAM slot with at least one write, or the later one is a
+/// `halt`. The transitive closure of that relation must equal the graph's
+/// reachability, and `preds`/`succs` must be exactly the endpoints of the
+/// (sorted) edge list.
+fn check_dep_graph_reference(program: &Program) -> Result<(), String> {
+    let insts = program.instructions();
+    let n = insts.len();
+    let graph = program.dep_graph();
+    let edges = graph.edges();
+    if let Some(e) = edges.iter().find(|e| e.from >= e.to || e.to >= n) {
+        return Err(format!(
+            "dependence edge {} -> {} is not forward",
+            e.from, e.to
+        ));
+    }
+    if edges
+        .windows(2)
+        .any(|w| (w[0].from, w[0].to) > (w[1].from, w[1].to))
+    {
+        return Err("dependence edges are not sorted by (from, to)".into());
+    }
+    for i in 0..n {
+        let mut preds: Vec<usize> = edges.iter().filter(|e| e.to == i).map(|e| e.from).collect();
+        let mut succs: Vec<usize> = edges.iter().filter(|e| e.from == i).map(|e| e.to).collect();
+        preds.dedup();
+        succs.dedup();
+        if graph.preds(i) != preds.as_slice() || graph.succs(i) != succs.as_slice() {
+            return Err(format!("preds/succs of {i} disagree with the edge list"));
+        }
+    }
+
+    let conflicts = |i: usize, j: usize| {
+        let (a, b) = (&insts[i], &insts[j]);
+        let raw = a.defs().is_some_and(|d| b.uses().any(|u| u == d));
+        let war = b.defs().is_some_and(|d| a.uses().any(|u| u == d));
+        let waw = a.defs().is_some() && a.defs() == b.defs();
+        let writes = |x: &Instruction, y: &Instruction| {
+            x.mem_write()
+                .is_some_and(|w| y.mem_read() == Some(w) || y.mem_write() == Some(w))
+        };
+        raw || war || waw || writes(a, b) || writes(b, a) || matches!(b, Instruction::Halt)
+    };
+    let reference = forward_closure(n, conflicts);
+    let built = forward_closure(n, |i, j| graph.succs(i).contains(&j));
+    for i in 0..n {
+        for j in i + 1..n {
+            if reference[i][j] != built[i][j] {
+                return Err(format!(
+                    "`{}` (#{i}) -> `{}` (#{j}): reference reachability {}, DepGraph {}",
+                    insts[i], insts[j], reference[i][j], built[i][j]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Transitive closure of a relation whose pairs all point forward
+/// (`i < j`): `reach[i][j]` is whether `j` is reachable from `i`.
+fn forward_closure(n: usize, direct: impl Fn(usize, usize) -> bool) -> Vec<Vec<bool>> {
+    let mut reach = vec![vec![false; n]; n];
+    for i in (0..n).rev() {
+        let (head, tail) = reach.split_at_mut(i + 1);
+        let row = &mut head[i];
+        for j in i + 1..n {
+            if direct(i, j) {
+                row[j] = true;
+                for (k, &r) in tail[j - i - 1].iter().enumerate() {
+                    row[k] |= r;
+                }
+            }
+        }
+    }
+    reach
 }
 
 fn bits(v: Option<&[F16]>) -> Option<Vec<u16>> {

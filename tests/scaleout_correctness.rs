@@ -2,12 +2,16 @@
 //! accelerators exchanging state through the synchronization template
 //! module must compute exactly what one big accelerator computes.
 
-use vfpga::accel::{AcceleratorConfig, FuncSim, RemoteWindow};
+use vfpga::accel::{AcceleratorConfig, CycleSim, FuncSim, RemoteWindow, TimingModel};
 use vfpga::core::scaleout::{insert_communication, remote_window, reorder_for_overlap};
-use vfpga::isa::F16;
-use vfpga::runtime::{co_simulate_functional, RuntimeError};
+use vfpga::isa::{encode, Program, F16};
+use vfpga::runtime::{
+    co_simulate_functional, co_simulate_timing, co_simulate_timing_faulted, LinkChaos, RuntimeError,
+};
+use vfpga::sim::{DegradedMode, LinkFaultKind, LinkParams, RetransmitPolicy, SimTime};
 use vfpga::workload::{
-    generate_program, reference_run, RnnKind, RnnTask, RnnWeights, SliceSpec, H_LOCAL_SLOT,
+    generate_program, reference_run, RnnKind, RnnProgram, RnnTask, RnnWeights, SliceSpec,
+    H_LOCAL_SLOT,
 };
 
 /// Runs `task` on `machines` cooperating scaled-down accelerators and
@@ -160,3 +164,152 @@ fn fuzz_counterexample_minimal_two_row_gru() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden pins: exact outputs of the Fig. 11 compile-and-co-simulate path.
+// The digests were computed before the dependence graph, the co-simulator's
+// arrival table and the cycle simulator were optimised; any change to an
+// edge (redundant ones included), to the schedule or to a simulated time
+// moves them.
+// ---------------------------------------------------------------------
+
+/// One small, one medium and one large DeepBench task, each with the tile
+/// count of its demand-sized full accelerator.
+const GOLDEN_TASKS: [(RnnKind, usize, usize, usize); 3] = [
+    (RnnKind::Lstm, 512, 25, 2),
+    (RnnKind::Lstm, 1536, 50, 8),
+    (RnnKind::Gru, 2560, 64, 21),
+];
+const GOLDEN_MACHINES: [usize; 2] = [2, 4];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn ring() -> LinkParams {
+    LinkParams::new(SimTime::from_ns(500.0), 25.0)
+}
+
+/// Every golden deployment, compiled through `insert_communication` and
+/// `reorder_for_overlap`: `(config, slices)` with one
+/// `(program, window, reordered)` per machine, in (task, machines) order.
+#[allow(clippy::type_complexity)]
+fn golden_deployments() -> Vec<(AcceleratorConfig, Vec<(RnnProgram, RemoteWindow, Program)>)> {
+    let mut out = Vec::new();
+    for (kind, hidden, timesteps, tiles) in GOLDEN_TASKS {
+        let task = RnnTask::new(kind, hidden, timesteps);
+        for machines in GOLDEN_MACHINES {
+            let cfg = AcceleratorConfig::new("golden", tiles).scaled_down(machines);
+            let slices = (0..machines)
+                .map(|m| {
+                    let rnn = generate_program(task, SliceSpec::new(m, machines));
+                    let window = remote_window(&cfg.isa, m, machines).expect("window fits");
+                    let reordered = insert_communication(&rnn.program, &rnn.state_slots, &window)
+                        .and_then(|p| reorder_for_overlap(&p, &window))
+                        .expect("compile");
+                    (rnn, window, reordered)
+                })
+                .collect();
+            out.push((cfg, slices));
+        }
+    }
+    out
+}
+
+fn timing_sims(
+    cfg: &AcceleratorConfig,
+    slices: &[(RnnProgram, RemoteWindow, Program)],
+) -> Vec<CycleSim> {
+    let model = TimingModel::for_config(cfg, 400.0);
+    slices
+        .iter()
+        .map(|(rnn, window, reordered)| {
+            let mut sim = CycleSim::new(
+                model,
+                reordered,
+                rnn.mat_shapes.clone(),
+                rnn.dram_lens.clone(),
+            );
+            sim.set_remote_window(Some(*window));
+            sim
+        })
+        .collect()
+}
+
+#[test]
+fn golden_reordered_encodings() {
+    let digests: Vec<u64> = golden_deployments()
+        .iter()
+        .map(|(_, slices)| {
+            let bytes: Vec<u8> = slices.iter().flat_map(|(_, _, p)| encode(p)).collect();
+            fnv1a(&bytes)
+        })
+        .collect();
+    assert_eq!(digests, GOLDEN_ENCODINGS, "{digests:#x?}");
+}
+
+#[test]
+fn golden_timing_cosimulation() {
+    let mut digests = Vec::new();
+    for (cfg, slices) in golden_deployments() {
+        for added_ns in [0.0, 1000.0] {
+            let mut sims = timing_sims(&cfg, &slices);
+            let timing =
+                co_simulate_timing(&mut sims, ring(), SimTime::from_ns(added_ns)).expect("cosim");
+            digests.push(fnv1a(timing.to_json().compact().as_bytes()));
+        }
+    }
+    assert_eq!(digests, GOLDEN_TIMINGS, "{digests:#x?}");
+}
+
+#[test]
+fn golden_faulted_timing_cosimulation() {
+    let deployments = golden_deployments();
+    let (cfg, slices) = &deployments[0];
+    let mut sims = timing_sims(cfg, slices);
+    let chaos = LinkChaos {
+        events: vec![
+            (SimTime::from_us(5.0), LinkFaultKind::Degraded),
+            (SimTime::from_us(40.0), LinkFaultKind::Recovered),
+        ],
+        degraded: DegradedMode::new(0.5, SimTime::from_ns(300.0)),
+        corruption_prob: 0.2,
+        retransmit: RetransmitPolicy {
+            max_retransmits: 16,
+            base_backoff: SimTime::from_ns(50.0),
+        },
+        deadline: None,
+        seed: 11,
+    };
+    let timing = co_simulate_timing_faulted(&mut sims, ring(), SimTime::from_ns(200.0), &chaos)
+        .expect("faulted cosim");
+    assert!(timing.retransmits > 0, "the pin must cover retransmission");
+    let digest = fnv1a(timing.to_json().compact().as_bytes());
+    assert_eq!(digest, GOLDEN_FAULTED, "{digest:#x}");
+}
+
+const GOLDEN_ENCODINGS: [u64; 6] = [
+    0x46c4ad3254422f3d,
+    0x15f976c1c9e99815,
+    0xc567771b08a67171,
+    0x61dcb839a66aef1d,
+    0xdf9062bd06af0e7b,
+    0x20612d352989b371,
+];
+const GOLDEN_TIMINGS: [u64; 12] = [
+    0x23ac025c98255c7f,
+    0x8412876c4a7985a8,
+    0xaf4037a0aff7aef6,
+    0xd4ffc429480adf90,
+    0x18c1552b89acc875,
+    0xe3cc43d2c51cb2dd,
+    0xcac6fa926c2359c6,
+    0x8a284f8668c0b938,
+    0xe48b2827aee661b4,
+    0xaf5a0ba2abaf5251,
+    0xea74dbbb5fe15c2e,
+    0x9cbac1fecb963546,
+];
+const GOLDEN_FAULTED: u64 = 0xc1c9f232b3736f74;
