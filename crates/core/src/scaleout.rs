@@ -234,7 +234,14 @@ pub fn reorder_for_overlap(program: &Program, window: &RemoteWindow) -> Result<P
             }
         }
     }
-    program.reordered(&order).map_err(CoreError::Isa)
+    // The same guard as `Program::reordered`, against the graph built above.
+    if !graph.is_valid_order(&order) {
+        return Err(CoreError::Isa(vfpga_isa::IsaError::Validation {
+            index: 0,
+            message: "reordering violates dependencies".into(),
+        }));
+    }
+    Ok(order.iter().map(|&i| program[i]).collect())
 }
 
 #[cfg(test)]

@@ -39,125 +39,137 @@ pub struct DepEdge {
 
 /// The dependency graph of a program: a DAG over instruction indices in
 /// original program order (edges always point from lower to higher index).
+///
+/// Adjacency is stored in compressed (CSR) form: the predecessors of `i`
+/// are `pred_list[pred_start[i]..pred_start[i + 1]]`, ascending and
+/// without duplicates, and likewise for successors.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     len: usize,
     edges: Vec<DepEdge>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    pred_start: Vec<usize>,
+    pred_list: Vec<usize>,
+    succ_start: Vec<usize>,
+    succ_list: Vec<usize>,
 }
+
+/// Number of architectural vector register names (`VReg` is a `u8`).
+const VREG_NAMES: usize = 256;
 
 impl DepGraph {
     /// Builds the dependency graph of an instruction sequence.
     pub fn build(insts: &[Instruction]) -> Self {
-        let mut edges = Vec::new();
-        // Register hazards.
-        let mut last_def: HashMap<u8, usize> = HashMap::new();
-        let mut uses_since_def: HashMap<u8, Vec<usize>> = HashMap::new();
-        // Memory hazards, exact per slot.
-        let mut last_store: HashMap<u32, usize> = HashMap::new();
-        let mut loads_since_store: HashMap<u32, Vec<usize>> = HashMap::new();
+        let n = insts.len();
+        // Every edge into `i` is emitted while visiting `i`, so `emitted`
+        // is in ascending `to`.
+        let mut emitted = Vec::new();
+        // Register hazards, indexed by register number.
+        let mut last_def: [Option<usize>; VREG_NAMES] = [None; VREG_NAMES];
+        let mut uses_since_def: Vec<Vec<usize>> = vec![Vec::new(); VREG_NAMES];
+        let mut mem = SlotHazards::default();
 
         for (i, inst) in insts.iter().enumerate() {
+            let mut edge = |from: usize, kind: DepKind| {
+                emitted.push(DepEdge { from, to: i, kind });
+            };
             if matches!(inst, Instruction::Halt) {
                 // A halt is a full barrier: it must stay after everything
                 // before it.
                 for j in 0..i {
-                    edges.push(DepEdge {
-                        from: j,
-                        to: i,
-                        kind: DepKind::Control,
-                    });
+                    edge(j, DepKind::Control);
                 }
                 continue;
             }
             for r in inst.uses() {
-                if let Some(&d) = last_def.get(&r.0) {
-                    edges.push(DepEdge {
-                        from: d,
-                        to: i,
-                        kind: DepKind::Raw,
-                    });
+                if let Some(d) = last_def[usize::from(r.0)] {
+                    edge(d, DepKind::Raw);
                 }
             }
             if let Some(addr) = inst.mem_read() {
-                if let Some(&s) = last_store.get(&addr) {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                    });
+                let (last_store, loads) = mem.slot(addr);
+                if let Some(s) = *last_store {
+                    edge(s, DepKind::Mem);
                 }
-                loads_since_store.entry(addr).or_default().push(i);
+                loads.push(i);
             }
             if let Some(addr) = inst.mem_write() {
-                if let Some(loads) = loads_since_store.get(&addr) {
-                    for &l in loads {
-                        edges.push(DepEdge {
-                            from: l,
-                            to: i,
-                            kind: DepKind::Mem,
-                        });
-                    }
+                let (last_store, loads) = mem.slot(addr);
+                for &l in loads.iter() {
+                    edge(l, DepKind::Mem);
                 }
-                if let Some(&s) = last_store.get(&addr) {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                    });
+                if let Some(s) = *last_store {
+                    edge(s, DepKind::Mem);
                 }
-                last_store.insert(addr, i);
-                loads_since_store.insert(addr, Vec::new());
+                *last_store = Some(i);
+                loads.clear();
             }
             if let Some(d) = inst.defs() {
-                if let Some(readers) = uses_since_def.get(&d.0) {
-                    for &r in readers {
-                        if r != i {
-                            edges.push(DepEdge {
-                                from: r,
-                                to: i,
-                                kind: DepKind::War,
-                            });
-                        }
+                let d = usize::from(d.0);
+                for &r in &uses_since_def[d] {
+                    if r != i {
+                        edge(r, DepKind::War);
                     }
                 }
-                if let Some(&prev) = last_def.get(&d.0) {
-                    edges.push(DepEdge {
-                        from: prev,
-                        to: i,
-                        kind: DepKind::Waw,
-                    });
+                if let Some(prev) = last_def[d] {
+                    edge(prev, DepKind::Waw);
                 }
-                last_def.insert(d.0, i);
-                uses_since_def.insert(d.0, Vec::new());
+                last_def[d] = Some(i);
+                uses_since_def[d].clear();
             }
             // Record uses after handling the def so `vadd v1, v1, v2` does
             // not produce a spurious WAR on itself.
             for r in inst.uses() {
-                uses_since_def.entry(r.0).or_default().push(i);
+                uses_since_def[usize::from(r.0)].push(i);
             }
         }
 
-        edges.sort_by_key(|e| (e.from, e.to));
+        // `emitted` is in ascending `to`, so a stable counting sort by
+        // `from` orders it exactly as a stable sort by `(from, to)`.
+        let mut next = vec![0; n + 1];
+        for e in &emitted {
+            next[e.from + 1] += 1;
+        }
+        prefix_sum(&mut next);
+        let mut edges = emitted.clone();
+        for &e in &emitted {
+            edges[next[e.from]] = e;
+            next[e.from] += 1;
+        }
         edges.dedup_by_key(|e| (e.from, e.to, e.kind));
 
-        let mut preds = vec![Vec::new(); insts.len()];
-        let mut succs = vec![Vec::new(); insts.len()];
+        // The distinct (from, to) pairs, in edge order, are the successor
+        // lists back to back. Scattering them by `to` in that order (a
+        // stable counting sort) gives ascending predecessor lists.
+        let mut succ_start = vec![0; n + 1];
+        let mut pred_start = vec![0; n + 1];
+        let mut succ_list = Vec::with_capacity(edges.len());
+        let mut prev = None;
         for e in &edges {
-            preds[e.to].push(e.from);
-            succs[e.from].push(e.to);
+            if prev != Some((e.from, e.to)) {
+                prev = Some((e.from, e.to));
+                succ_start[e.from + 1] += 1;
+                pred_start[e.to + 1] += 1;
+                succ_list.push(e.to);
+            }
         }
-        for v in preds.iter_mut().chain(succs.iter_mut()) {
-            v.sort_unstable();
-            v.dedup();
+        prefix_sum(&mut succ_start);
+        prefix_sum(&mut pred_start);
+        next.copy_from_slice(&pred_start);
+        let mut pred_list = vec![0; succ_list.len()];
+        for from in 0..n {
+            for &to in &succ_list[succ_start[from]..succ_start[from + 1]] {
+                pred_list[next[to]] = from;
+                next[to] += 1;
+            }
         }
 
         DepGraph {
-            len: insts.len(),
+            len: n,
             edges,
-            preds,
-            succs,
+            pred_start,
+            pred_list,
+            succ_start,
+            succ_list,
         }
     }
 
@@ -178,12 +190,12 @@ impl DepGraph {
 
     /// Indices of instructions that must execute before `i`.
     pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.pred_list[self.pred_start[i]..self.pred_start[i + 1]]
     }
 
     /// Indices of instructions that must execute after `i`.
     pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        &self.succ_list[self.succ_start[i]..self.succ_start[i + 1]]
     }
 
     /// Checks that `order` (a permutation of `0..len`) respects every
@@ -200,6 +212,33 @@ impl DepGraph {
             position[idx] = pos;
         }
         self.edges.iter().all(|e| position[e.from] < position[e.to])
+    }
+}
+
+/// Memory hazard state, exact per DRAM slot. Slots are interned to dense
+/// ids, so each access costs one map lookup.
+#[derive(Default)]
+struct SlotHazards {
+    ids: HashMap<u32, usize>,
+    /// Per slot id: the last store and the loads since it.
+    slots: Vec<(Option<usize>, Vec<usize>)>,
+}
+
+impl SlotHazards {
+    fn slot(&mut self, addr: u32) -> &mut (Option<usize>, Vec<usize>) {
+        let next = self.slots.len();
+        let id = *self.ids.entry(addr).or_insert(next);
+        if id == next {
+            self.slots.push((None, Vec::new()));
+        }
+        &mut self.slots[id]
+    }
+}
+
+/// Turns per-key counts stored at `key + 1` into run offsets in place.
+fn prefix_sum(counts: &mut [usize]) {
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
     }
 }
 

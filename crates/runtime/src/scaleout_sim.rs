@@ -235,21 +235,42 @@ impl Wire {
     }
 }
 
-/// Per-sender arrival snapshot entry: `(chan, seq, arrival)` where a `None`
-/// arrival marks a message that can never be delivered.
-type MsgArrival = (u32, u64, Option<SimTime>);
+/// One sender's arrival table, indexed `[chan][seq]`: the delivery of its
+/// `seq`-th send on `chan`, where `None` marks a message that can never be
+/// delivered. [`CycleSim`] numbers the sends on each channel consecutively
+/// from 0, so appending keeps the index exact; a lookup past the end of a
+/// channel is a message not sent yet.
+#[derive(Default)]
+struct Arrivals {
+    /// Sends folded in so far (a prefix of the machine's `sends()`).
+    synced: usize,
+    by_chan: Vec<Vec<Option<SimTime>>>,
+}
 
-/// Folds machine `m`'s new sends (past `entry.len()`) into its arrival
-/// snapshot, pushing each through the faulted wire once and through the
-/// machine's shadow transmitter (which measures the serialization-pressure
-/// queue waits the ideal pipelined-wire arrival model hides).
-fn sync_sends(machine: &CycleSim, entry: &mut Vec<MsgArrival>, shadow: &mut Link, wire: &mut Wire) {
+impl Arrivals {
+    /// `None` if the message was not sent yet, else its delivery.
+    fn get(&self, chan: u32, seq: u64) -> Option<Option<SimTime>> {
+        let seq = usize::try_from(seq).ok()?;
+        self.by_chan.get(chan as usize)?.get(seq).copied()
+    }
+}
+
+/// Folds machine `m`'s new sends into its arrival table, pushing each
+/// through the faulted wire once and through the machine's shadow
+/// transmitter (which measures the serialization-pressure queue waits the
+/// ideal pipelined-wire arrival model hides).
+fn sync_sends(machine: &CycleSim, entry: &mut Arrivals, shadow: &mut Link, wire: &mut Wire) {
     let sends = machine.sends();
-    for s in &sends[entry.len()..] {
+    for s in &sends[entry.synced..] {
         let bytes = s.len as u64 * 2; // f16 payload
         shadow.transfer(s.at, bytes);
-        entry.push((s.chan, s.seq, wire.deliver(s.at, bytes)));
+        let chan = s.chan as usize;
+        if entry.by_chan.len() <= chan {
+            entry.by_chan.resize_with(chan + 1, Vec::new);
+        }
+        entry.by_chan[chan].push(wire.deliver(s.at, bytes));
     }
+    entry.synced = sends.len();
 }
 
 /// Co-simulates the timing of communicating machines over an ideal ring.
@@ -304,10 +325,9 @@ pub fn co_simulate_timing_faulted(
     // One shadow transmitter per sender: measures transmitter back-pressure
     // without feeding it back into arrival times (the wire is pipelined).
     let mut shadow: Vec<Link> = (0..n).map(|_| Link::new(link)).collect();
-    // Arrival snapshot, maintained incrementally: entry [p][i] is the
-    // delivery of machine p's i-th send. Rebuilt only when a machine
-    // actually produced new sends (not per machine per round).
-    let mut arrivals: Vec<Vec<MsgArrival>> = vec![Vec::new(); n];
+    // Arrival tables, maintained incrementally: extended only when a
+    // machine actually produced new sends (not per machine per round).
+    let mut arrivals: Vec<Arrivals> = (0..n).map(|_| Arrivals::default()).collect();
     for m in 0..n {
         sync_sends(&machines[m], &mut arrivals[m], &mut shadow[m], &mut wire);
     }
@@ -331,9 +351,7 @@ pub fn co_simulate_timing_faulted(
                         if p == m {
                             continue;
                         }
-                        let &(_, _, arrival) =
-                            peer.iter().find(|&&(c, s, _)| c == chan && s == seq)?;
-                        match arrival {
+                        match peer.get(chan, seq)? {
                             Some(a) => latest = latest.max(a),
                             None => {
                                 // Sent but undeliverable: the receiver is
