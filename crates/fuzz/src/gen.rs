@@ -231,18 +231,7 @@ fn doc_value(rng: &mut Rng, depth: usize) -> Json {
         match rng.below(5) {
             0 => Json::Null,
             1 => Json::Bool(rng.below(2) == 0),
-            2 => {
-                // Finite numbers only (NaN/Inf serialize as null and
-                // cannot round-trip): integers of either sign, large
-                // integers past the i64-printing cutoff, and fractions
-                // with short binary expansions.
-                match rng.below(4) {
-                    0 => Json::Num(rng.below(1_000_000) as f64),
-                    1 => Json::Num(-(rng.below(1_000_000) as f64)),
-                    2 => Json::Num((rng.next_u64() >> 10) as f64),
-                    _ => Json::Num(rng.below(1 << 20) as f64 / 1024.0),
-                }
-            }
+            2 => Json::Num(doc_number(rng)),
             3 => Json::Str(doc_string(rng)),
             _ => Json::Arr(Vec::new()),
         }
@@ -253,20 +242,40 @@ fn doc_value(rng: &mut Rng, depth: usize) -> Json {
         let n = rng.below(5);
         Json::Obj(
             (0..n)
-                .map(|i| {
-                    (
-                        format!("k{i}_{}", rng.below(100)),
-                        doc_value(rng, depth - 1),
-                    )
-                })
+                .map(|i| (doc_key(rng, i).into(), doc_value(rng, depth - 1)))
                 .collect(),
         )
     }
 }
 
+/// A finite number (NaN/Inf serialize as null and cannot round-trip):
+/// integers of either sign, large integers past the i64-printing cutoff,
+/// fractions with short binary expansions, the values on both sides of
+/// the cutoff, negative zero, and negatives across the whole `i64` range.
+fn doc_number(rng: &mut Rng) -> f64 {
+    match rng.below(6) {
+        0 => rng.below(1_000_000) as f64,
+        1 => -(rng.below(1_000_000) as f64),
+        2 => (rng.next_u64() >> 10) as f64,
+        3 => rng.below(1 << 20) as f64 / 1024.0,
+        4 => [1e15 - 1.0, -(1e15 - 1.0), 1e15, -1e15, -0.0][rng.below(5)],
+        _ => -((rng.next_u64() >> (1 + rng.below(63))) as f64),
+    }
+}
+
+/// An object key: usually plain, sometimes one that needs escaping.
+fn doc_key(rng: &mut Rng, i: usize) -> String {
+    if rng.below(4) == 0 {
+        doc_string(rng)
+    } else {
+        format!("k{i}_{}", rng.below(100))
+    }
+}
+
 fn doc_string(rng: &mut Rng) -> String {
     let alphabet = [
-        "a", "B", "0", " ", "\"", "\\", "\n", "\t", "\r", "/", "é", "λ", "\u{1}", "\u{7f}", "🦀",
+        "a", "B", "0", " ", "\"", "\\", "\n", "\t", "\r", "/", "é", "λ", "\u{1}", "\u{1f}",
+        "\u{7f}", "🦀",
     ];
     let n = rng.below(12);
     (0..n)
@@ -274,9 +283,78 @@ fn doc_string(rng: &mut Rng) -> String {
         .collect()
 }
 
-/// A random JSON document: escapes, non-ASCII, control characters, deep
-/// nesting, empty containers, and numbers on both sides of the
-/// integer-printing cutoff.
+/// A random JSON document: escapes in strings and keys, non-ASCII,
+/// control characters, empty containers, numbers on both sides of the
+/// integer-printing cutoff, and now and then a chain of 24 to 56
+/// single-element containers, deeper than the serializer's static
+/// indentation run covers in one copy.
 pub fn doc(rng: &mut Rng) -> Json {
-    doc_value(rng, 4)
+    let mut doc = doc_value(rng, 4);
+    if rng.below(8) == 0 {
+        for _ in 0..24 + rng.below(33) {
+            doc = if rng.below(2) == 0 {
+                Json::Arr(vec![doc])
+            } else {
+                Json::obj().with(doc_key(rng, 0), doc)
+            };
+        }
+    }
+    doc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn depth(doc: &Json) -> usize {
+        match doc {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    fn visit(doc: &Json, keys: &mut Vec<String>, nums: &mut Vec<f64>) {
+        match doc {
+            Json::Num(x) => nums.push(*x),
+            Json::Arr(items) => items.iter().for_each(|v| visit(v, keys, nums)),
+            Json::Obj(pairs) => {
+                for (k, v) in pairs {
+                    keys.push(k.to_string());
+                    visit(v, keys, nums);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The `json-roundtrip` oracle is only as strong as the documents it
+    /// sees: they must reach past the static indentation run, carry keys
+    /// that need escaping, and hit every number edge case.
+    #[test]
+    fn doc_generator_reaches_the_serializer_edges() {
+        let mut rng = Rng::seed_from_u64(42);
+        let docs: Vec<Json> = (0..400).map(|_| doc(&mut rng)).collect();
+        assert!(docs.iter().any(|d| depth(d) > 40), "no deep document");
+        let (mut keys, mut nums) = (Vec::new(), Vec::new());
+        docs.iter().for_each(|d| visit(d, &mut keys, &mut nums));
+        assert!(
+            keys.iter()
+                .any(|k| k.chars().any(|c| c == '"' || c == '\\' || c < ' ')),
+            "no key needs escaping"
+        );
+        for edge in [1e15 - 1.0, -(1e15 - 1.0), 1e15, -1e15] {
+            assert!(nums.contains(&edge), "never generated {edge}");
+        }
+        assert!(
+            nums.iter().any(|x| *x == 0.0 && x.is_sign_negative()),
+            "never generated -0.0"
+        );
+        assert!(nums.iter().any(|&x| x < -1e18), "no large i64 negative");
+        assert!(
+            nums.iter()
+                .any(|&x| x > -1e15 && x < -1e6 && x.fract() == 0.0),
+            "no mid-range negative integer"
+        );
+    }
 }

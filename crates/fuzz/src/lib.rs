@@ -23,7 +23,7 @@
 //!   reordering bit-identity, partition conservation/monotonicity/coverage,
 //!   controller accounting under faults, slot-bitmap vs occupancy agreement
 //!   in the HS abstraction, fault-plan renewal invariants, and byte-exact
-//!   JSON round-trips.
+//!   JSON round-trips checked against a reference serializer.
 //! * **Shrinker** ([`shrink`]) — greedy delta debugging over each
 //!   generator's structure (drop tree children, halve dims, truncate
 //!   programs and fault waves) that minimizes a failing case while
@@ -39,6 +39,7 @@
 mod driver;
 mod gen;
 mod input;
+mod json_ref;
 mod oracle;
 mod shrink;
 

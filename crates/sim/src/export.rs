@@ -55,32 +55,34 @@ fn thread_name(pid: u64, tid: u64) -> String {
 /// compilation flow plus the cloud run).
 pub fn chrome_trace_events(tracers: &[&SpanTracer]) -> Json {
     let mut lanes: BTreeSet<(u64, u64)> = BTreeSet::new();
+    let mut closed = 0;
     for tracer in tracers {
         for span in tracer.spans() {
             lanes.insert(lane_of(span));
+            closed += usize::from(span.end.is_some());
         }
     }
-    let mut events: Vec<Json> = Vec::new();
-    let mut named_pids: BTreeSet<u64> = BTreeSet::new();
+    let mut pids = 0;
+    let mut last_pid = None;
+    for &(pid, _) in &lanes {
+        pids += usize::from(last_pid.replace(pid) != Some(pid));
+    }
+    let metadata = |name: &'static str, pid: u64, tid: u64, label: String| {
+        Json::obj_with_capacity(5)
+            .with("ph", "M")
+            .with("name", name)
+            .with("pid", pid)
+            .with("tid", tid)
+            .with("args", Json::obj_with_capacity(1).with("name", label))
+    };
+    let mut events: Vec<Json> = Vec::with_capacity(pids + lanes.len() + closed);
+    let mut last_pid = None;
     for &(pid, tid) in &lanes {
-        if named_pids.insert(pid) {
-            events.push(
-                Json::obj()
-                    .with("ph", "M")
-                    .with("name", "process_name")
-                    .with("pid", pid)
-                    .with("tid", 0u64)
-                    .with("args", Json::obj().with("name", process_name(pid))),
-            );
+        // Lanes are sorted, so each process comes up in one run.
+        if last_pid.replace(pid) != Some(pid) {
+            events.push(metadata("process_name", pid, 0, process_name(pid)));
         }
-        events.push(
-            Json::obj()
-                .with("ph", "M")
-                .with("name", "thread_name")
-                .with("pid", pid)
-                .with("tid", tid)
-                .with("args", Json::obj().with("name", thread_name(pid, tid))),
-        );
+        events.push(metadata("thread_name", pid, tid, thread_name(pid, tid)));
     }
     for tracer in tracers {
         for span in tracer.spans() {
@@ -90,15 +92,16 @@ pub fn chrome_trace_events(tracers: &[&SpanTracer]) -> Json {
                 continue;
             };
             let (pid, tid) = lane_of(span);
-            let mut args = Json::obj();
-            if span.trace != TraceId::NONE {
+            let traced = span.trace != TraceId::NONE;
+            let mut args = Json::obj_with_capacity(usize::from(traced) + span.attrs.len());
+            if traced {
                 args = args.with("trace", span.trace.0);
             }
             for (key, value) in &span.attrs {
-                args = args.with(key, value.to_json());
+                args = args.with(*key, value.to_json());
             }
             events.push(
-                Json::obj()
+                Json::obj_with_capacity(7)
                     .with("ph", "X")
                     .with("name", span.name)
                     .with("pid", pid)

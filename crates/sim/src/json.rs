@@ -4,7 +4,14 @@
 //! container environment has no serde, so this module provides the small
 //! subset needed: a value tree with insertion-ordered objects and a
 //! serializer with correct string escaping and finite-number handling.
+//!
+//! Exports of large runs build trees of hundreds of thousands of nodes,
+//! so the tree and the writer avoid per-node allocations: object keys are
+//! borrowed when they are `&'static str` (nearly all are), indentation
+//! comes from a static run of spaces, integers format from a stack
+//! buffer, and unescaped runs of a string copy in one piece.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// One JSON value.
@@ -20,8 +27,9 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; pairs keep insertion order.
-    Obj(Vec<(String, Json)>),
+    /// An object; pairs keep insertion order. Keys are borrowed when
+    /// static and owned otherwise (parsed documents, computed names).
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
@@ -30,14 +38,20 @@ impl Json {
         Json::Obj(Vec::new())
     }
 
+    /// An empty object with room for `fields` fields, for builders that
+    /// know their field count: `with` then never reallocates.
+    pub fn obj_with_capacity(fields: usize) -> Json {
+        Json::Obj(Vec::with_capacity(fields))
+    }
+
     /// Adds a field to an object and returns `self` for chaining.
     ///
     /// # Panics
     ///
     /// Panics if `self` is not an object.
-    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+    pub fn with(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) -> Json {
         match &mut self {
-            Json::Obj(pairs) => pairs.push((key.to_string(), value.into())),
+            Json::Obj(pairs) => pairs.push((key.into(), value.into())),
             _ => panic!("with() on non-object"),
         }
         self
@@ -116,18 +130,19 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: usize) {
         let compact = indent == usize::MAX;
+        let inner = if compact { indent } else { indent + 1 };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => {
-                if x.is_finite() {
-                    if *x == x.trunc() && x.abs() < 1e15 {
-                        let _ = write!(out, "{}", *x as i64);
-                    } else {
-                        let _ = write!(out, "{x}");
-                    }
-                } else {
+                if !x.is_finite() {
                     out.push_str("null");
+                } else if *x == x.trunc() && x.abs() < 1e15 {
+                    push_int(out, *x as i64);
+                } else {
+                    // Non-integers keep `Display` (shortest round-trip
+                    // digits): the artifacts' bytes depend on it.
+                    let _ = write!(out, "{x}");
                 }
             }
             Json::Str(s) => escape_into(s, out),
@@ -142,14 +157,12 @@ impl Json {
                         out.push(',');
                     }
                     if !compact {
-                        out.push('\n');
-                        out.push_str(&"  ".repeat(indent + 1));
+                        newline(out, inner);
                     }
-                    item.write(out, if compact { indent } else { indent + 1 });
+                    item.write(out, inner);
                 }
                 if !compact {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
+                    newline(out, indent);
                 }
                 out.push(']');
             }
@@ -164,24 +177,57 @@ impl Json {
                         out.push(',');
                     }
                     if !compact {
-                        out.push('\n');
-                        out.push_str(&"  ".repeat(indent + 1));
+                        newline(out, inner);
                     }
                     escape_into(k, out);
                     out.push(':');
                     if !compact {
                         out.push(' ');
                     }
-                    v.write(out, if compact { indent } else { indent + 1 });
+                    v.write(out, inner);
                 }
                 if !compact {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
+                    newline(out, indent);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Indentation source: 32 levels of two spaces. Deeper levels copy it
+/// more than once.
+const INDENT: &str = "                                                                ";
+
+/// A line break followed by `level` levels of indentation.
+fn newline(out: &mut String, level: usize) {
+    out.push('\n');
+    let mut width = 2 * level;
+    while width > 0 {
+        let run = width.min(INDENT.len());
+        out.push_str(&INDENT[..run]);
+        width -= run;
+    }
+}
+
+/// Formats an integer through a stack buffer: the same digits as `{v}`.
+fn push_int(out: &mut String, v: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -217,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(bytes, pos);
                 expect_byte(bytes, pos, b':')?;
                 let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
+                pairs.push((key.into(), value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -340,20 +386,33 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // split `s` on character boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escaped {
+            Some(escaped) => out.push_str(escaped),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -475,8 +534,50 @@ mod tests {
     }
 
     #[test]
+    fn integers_print_exact_digits_on_both_sides_of_the_cutoff() {
+        for (x, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (-7.0, "-7"),
+            (999_999_999_999_999.0, "999999999999999"),
+            (-999_999_999_999_999.0, "-999999999999999"),
+            (1e15, "1000000000000000"),
+            (-1e15, "-1000000000000000"),
+        ] {
+            assert_eq!(Json::Num(x).compact(), text, "{x}");
+        }
+    }
+
+    #[test]
     fn control_characters_escaped() {
         assert_eq!(Json::from("a\u{1}b\nc").compact(), "\"a\\u0001b\\nc\"");
+        assert_eq!(
+            Json::from("é\u{1f}λ\u{7f}").compact(),
+            "\"é\\u001fλ\u{7f}\""
+        );
+    }
+
+    #[test]
+    fn deep_nesting_indents_past_the_static_run() {
+        let depth = 40;
+        let mut j = Json::from(1u64);
+        for _ in 0..depth {
+            j = Json::Arr(vec![j]);
+        }
+        let mut want = String::new();
+        for level in 0..depth {
+            want.push('[');
+            want.push('\n');
+            want.push_str(&"  ".repeat(level + 1));
+        }
+        want.push('1');
+        for level in (0..depth).rev() {
+            want.push('\n');
+            want.push_str(&"  ".repeat(level));
+            want.push(']');
+        }
+        want.push('\n');
+        assert_eq!(j.pretty(), want);
     }
 
     #[test]

@@ -419,18 +419,18 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> Json {
         let mut counters = Json::obj();
         for (name, &v) in self.counter_names.iter().zip(&self.counters) {
-            counters = counters.with(name, v);
+            counters = counters.with(name.clone(), v);
         }
         let mut gauges = Json::obj();
         for (name, series) in self.gauge_names.iter().zip(&self.gauges) {
-            gauges = gauges.with(name, series.to_json());
+            gauges = gauges.with(name.clone(), series.to_json());
         }
         let mut timers = Json::obj();
         for (name, t) in self.timer_names.iter().zip(&self.timers) {
             let [p50, p95, p99] = t.quantiles([0.50, 0.95, 0.99]);
             timers = timers.with(
-                name,
-                Json::obj()
+                name.clone(),
+                Json::obj_with_capacity(7)
                     .with("count", t.summary.count())
                     .with("mean", t.summary.mean())
                     .with("p50", p50)

@@ -276,7 +276,7 @@ impl RollupSet {
         let window_s = self.window.as_secs();
         let mut rows = Vec::with_capacity(self.cells.len());
         for ((key, idx), stats) in &self.cells {
-            let mut row = Json::obj()
+            let mut row = Json::obj_with_capacity(11 + usize::from(stats.truncated))
                 .with("key", key.label())
                 .with("window", *idx)
                 .with("start_s", *idx as f64 * window_s)

@@ -239,7 +239,7 @@ impl QuantileSketch {
     /// The `{count, p50, p95, p99}` quantile digest most artifact sections
     /// want; `None` quantiles (empty sketch) serialize as `null`.
     pub fn digest_json(&self) -> Json {
-        Json::obj()
+        Json::obj_with_capacity(4)
             .with("count", self.count)
             .with("p50_s", self.quantile_secs(0.50))
             .with("p95_s", self.quantile_secs(0.95))

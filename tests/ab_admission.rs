@@ -216,7 +216,7 @@ fn admission_artifacts(report: &CloudReport) -> (String, String) {
         fields
             .into_iter()
             .filter(|(key, _)| key != "spans")
-            .map(|(key, value)| match (key.as_str(), value) {
+            .map(|(key, value)| match (key.as_ref(), value) {
                 ("rejections", Json::Obj(views)) => (
                     key,
                     Json::Obj(views.into_iter().filter(|(k, _)| k != "attempts").collect()),

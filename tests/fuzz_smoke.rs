@@ -94,3 +94,35 @@ fn case_derivation_is_positional() {
         "different seeds should give different cases"
     );
 }
+
+/// Regression: the `program-reorder` shrinker adopts any failing
+/// candidate, so a real `DepGraph` failure once shrank into a program that
+/// reads a register before writing it — and that program failed the
+/// oracle on correct code too ("original program: register v0 read before
+/// write"). A program that cannot run has no semantics to preserve; the
+/// oracle still checks its dependence graph, then passes it.
+#[test]
+fn program_reorder_passes_a_program_that_reads_before_writing() {
+    use vfpga::accel::{AcceleratorConfig, FuncSim};
+    use vfpga::fuzz::{FuzzInput, ProgSpec};
+
+    let asm = "vadd v1, v0, v0\nvstore v1, 64\nhalt";
+    let program = vfpga::isa::assemble(asm).expect("assembles");
+    let err = FuncSim::new(&AcceleratorConfig::new("fuzz", 2))
+        .run(&program)
+        .expect_err("v0 is read before any write");
+    assert!(err.to_string().contains("before write"), "{err}");
+
+    let oracle = registry()
+        .into_iter()
+        .find(|o| o.name == "program-reorder")
+        .expect("program-reorder is registered");
+    let input = FuzzInput::Prog(ProgSpec {
+        n: 4,
+        slots: 1,
+        data_seed: 1,
+        order_seed: 2,
+        asm: asm.to_string(),
+    });
+    assert_eq!((oracle.check)(&input), Ok(()));
+}
