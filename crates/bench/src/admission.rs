@@ -407,7 +407,7 @@ mod tests {
     use super::*;
 
     /// A scaled-down config so the test suite stays fast; the real 10k
-    /// bench runs via `repro bench` (and in CI's bench job).
+    /// bench runs via `repro bench` (and in CI's bench rows).
     fn small() -> BenchConfig {
         BenchConfig {
             tasks: 400,

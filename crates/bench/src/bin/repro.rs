@@ -1,112 +1,108 @@
-//! Regenerates every table and figure of the paper's evaluation section.
+//! Regenerates every table and figure of the paper's evaluation section,
+//! and runs the fault, tracing, benchmark, monitoring and fuzzing
+//! scenarios built on the same stack.
 //!
 //! ```text
-//! cargo run --release -p vfpga-bench --bin repro -- [table2|table3|table4|fig11|fig12|overhead|ablations|density|isolation|chaos|trace|bench|elastic|netchaos|monitor|fuzz|all] [--json PATH] [--seed N] [--tasks N] [--cases N] [--oracle NAME] [--replay PATH]
+//! cargo run --release -p vfpga-bench --bin repro -- [EXPERIMENT|all] [--json PATH] [--seed N] [--tasks N] [--cases N] [--oracle NAME] [--replay PATH]
 //! ```
 //!
-//! Runs covering Fig. 11, Fig. 12, or the chaos scenario also write a
-//! machine-readable metrics artifact (per-run throughput, latency
-//! percentiles, occupancy time series, rejection-reason counts, recovery
-//! accounting) to `target/repro-metrics.json`, or to the path given with
-//! `--json`. The artifact root carries a `schema_version` so downstream
-//! consumers can detect layout changes; `--seed` re-seeds the chaos fault
-//! plan (default 2024).
+//! The experiments are the rows of [`SCENARIOS`], in the order `all`
+//! runs them; an unknown name prints the usage line that lists them. The
+//! `print_*` functions of the opt-in experiments document their gates.
 //!
-//! `trace` (not part of `all`) runs the span-instrumented chaos scenario
-//! and writes `target/repro-trace.json`: the critical-path latency
-//! decomposition plus a Chrome trace-event array — open the file directly
-//! in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. A
-//! Prometheus text exposition of the run's metrics lands next to it as
-//! `.prom`. Both artifacts are byte-identical across same-seed runs.
-//!
-//! `bench` (not part of `all` either) runs the saturated-admission
-//! benchmark — the shipped fast path vs. the cache-and-gating-off
-//! baseline over identical 10k-task inputs — writes
-//! `target/BENCH_admission.json`, and exits non-zero if outcomes
-//! diverge, the probe reduction falls under 3x, or
-//! `deploy_attempts_per_admission` exceeds the checked-in ceiling. Its
-//! `scaling` block runs the fast path alone at `--tasks N` tasks (default
-//! 160000) and at a quarter and a sixteenth of that, and the bench also
-//! exits non-zero if queue elements touched per admission exceed their
-//! ceiling at any size.
-//!
-//! `elastic` (also opt-in) runs the elastic-reprovisioning A/B — the
-//! scheduler with [`vfpga_runtime::ElasticityPolicy::FULL`] vs. the
-//! plain scheduler over an identical bursty 10k-task workload — writes
-//! `target/BENCH_elastic.json`, and exits non-zero unless p95 latency
-//! strictly improves, both levers fire, and every outcome invariant
-//! holds in both modes.
-//!
-//! `netchaos` (also opt-in) runs the network-chaos scenario — the chaos
-//! workload under seeded device *and* ring-segment fault waves — writes
-//! `target/repro-netchaos.json`, and exits non-zero unless every
-//! cross-layer invariant holds (accounting, trace completeness, the
-//! report's retransmitted-byte counter reconciling with the trace's
-//! `retransmit` events) and the run actually failed segments, re-routed
-//! around them, and retransmitted corrupted transfers.
-//!
-//! `fuzz` (also opt-in) runs the deterministic differential-fuzzing
-//! subsystem: `--cases N` structure-aware cases per cross-layer oracle
-//! (default 200), all derived from `--seed`, writing a byte-deterministic
-//! summary to `target/repro-fuzz.json` and shrunk reproducers for any
-//! failures to `target/fuzz-failures/<oracle>-<seed>.json`. `--oracle
-//! NAME` restricts the run to one oracle; `--replay PATH` re-runs a
-//! saved reproducer through its oracle instead of fuzzing and exits
-//! non-zero while the bug it captures still reproduces.
-//!
-//! `monitor` (also opt-in) runs the SLO-monitoring scenario — a
-//! self-calibrating chaos+elastic run with the streaming-telemetry
-//! monitor collecting windowed rollups, mergeable latency sketches, and
-//! multi-window burn-rate alerts — writes `target/repro-monitor.json`
-//! (with a Prometheus rollup exposition next to it as `.prom`), runs the
-//! whole scenario twice, and exits non-zero unless every alert fired
-//! inside a planned fault window, at least one alert resolved after the
-//! waves passed, the sketch quantiles match the exact percentiles within
-//! the configured relative error, and the two runs' artifacts are
-//! byte-identical.
+//! Runs covering Fig. 11, Fig. 12 or the chaos scenario also write a
+//! machine-readable metrics artifact to `target/repro-metrics.json`, or to
+//! the path given with `--json`. The opt-in experiments (those `all`
+//! skips) each write their own artifact, at the path in their row or at
+//! `--json`. Every artifact root carries a `schema_version` so downstream
+//! consumers can detect layout changes. `--seed` re-seeds the chaos
+//! scenario and every opt-in experiment (default 2024).
+
+use std::str::FromStr;
 
 use vfpga_bench::{
     ablations, admission, catalog::Catalog, chaos, density, elastic, fig11, fig12, isolation,
     monitor, netchaos, overhead, tables,
 };
-use vfpga_sim::{chrome_trace_events, prometheus_text, Json, SimTime, SpanTracer};
+use vfpga_sim::{chrome_trace_events, prometheus_text, Json, SpanTracer};
 use vfpga_workload::fig11_tasks;
 
-/// Default location of the metrics artifact.
-const DEFAULT_ARTIFACT: &str = "target/repro-metrics.json";
+/// Where the combined metrics artifact of fig11, fig12 and chaos goes.
+const METRICS_ARTIFACT: &str = "target/repro-metrics.json";
 
-/// Default location of the trace artifact (the `trace` experiment).
-const DEFAULT_TRACE_ARTIFACT: &str = "target/repro-trace.json";
+/// One `repro` experiment.
+struct Scenario {
+    /// The experiment's name on the command line.
+    name: &'static str,
+    /// Whether `repro all` runs it.
+    in_all: bool,
+    /// Default artifact path, overridden by `--json`; `None` for the
+    /// experiments that only print.
+    artifact: Option<&'static str>,
+    /// Runs the experiment with the options and the artifact path. A
+    /// returned section goes into the combined metrics artifact under
+    /// `name`; an experiment returning `None` wrote its own artifact, if
+    /// it has one.
+    run: fn(&Opts, &str) -> Option<Json>,
+}
 
-/// Default location of the admission-bench artifact (the `bench`
-/// experiment).
-const DEFAULT_BENCH_ARTIFACT: &str = "target/BENCH_admission.json";
+impl Scenario {
+    const fn new(
+        name: &'static str,
+        in_all: bool,
+        artifact: Option<&'static str>,
+        run: fn(&Opts, &str) -> Option<Json>,
+    ) -> Scenario {
+        Scenario {
+            name,
+            in_all,
+            artifact,
+            run,
+        }
+    }
+}
 
-/// Default location of the elastic-reprovisioning artifact (the
-/// `elastic` experiment).
-const DEFAULT_ELASTIC_ARTIFACT: &str = "target/BENCH_elastic.json";
+/// Every experiment, in the order `all` runs them.
+#[rustfmt::skip]
+const SCENARIOS: &[Scenario] = &[
+    Scenario::new("table2", true, None, print_table2),
+    Scenario::new("table3", true, None, print_table3),
+    Scenario::new("table4", true, None, print_table4),
+    Scenario::new("fig11", true, Some(METRICS_ARTIFACT), print_fig11),
+    Scenario::new("fig12", true, Some(METRICS_ARTIFACT), print_fig12),
+    Scenario::new("overhead", true, None, print_overhead),
+    Scenario::new("ablations", true, None, print_ablations),
+    Scenario::new("density", true, None, print_density),
+    Scenario::new("isolation", true, None, print_isolation),
+    Scenario::new("chaos", true, Some(METRICS_ARTIFACT), print_chaos),
+    Scenario::new("trace", false, Some("target/repro-trace.json"), print_trace),
+    Scenario::new("bench", false, Some("target/BENCH_admission.json"), print_bench),
+    Scenario::new("elastic", false, Some("target/BENCH_elastic.json"), print_elastic),
+    Scenario::new("netchaos", false, Some("target/repro-netchaos.json"), print_netchaos),
+    Scenario::new("monitor", false, Some("target/repro-monitor.json"), print_monitor),
+    Scenario::new("fuzz", false, Some("target/repro-fuzz.json"), print_fuzz),
+];
 
-/// Default location of the network-chaos artifact (the `netchaos`
-/// experiment).
-const DEFAULT_NETCHAOS_ARTIFACT: &str = "target/repro-netchaos.json";
-
-/// Default location of the SLO-monitoring artifact (the `monitor`
-/// experiment).
-const DEFAULT_MONITOR_ARTIFACT: &str = "target/repro-monitor.json";
-
-/// Default location of the fuzzing summary artifact (the `fuzz`
-/// experiment).
-const DEFAULT_FUZZ_ARTIFACT: &str = "target/repro-fuzz.json";
+/// The options every experiment reads.
+struct Opts {
+    /// `--seed`: seeds the workloads, fault plans and fuzz cases.
+    seed: u64,
+    /// `--tasks`: the largest size of the bench's scaling curve.
+    tasks: Option<usize>,
+    /// `--cases`: fuzz cases per oracle.
+    cases: usize,
+    /// `--oracle`: the one fuzz oracle to run.
+    oracle: Option<String>,
+    /// `--replay`: a fuzz reproducer to re-run instead of fuzzing.
+    replay: Option<String>,
+}
 
 /// Where the `fuzz` experiment writes shrunk reproducers.
 const FUZZ_FAILURE_DIR: &str = "target/fuzz-failures";
 
-/// Default fuzzing budget per oracle.
-const DEFAULT_FUZZ_CASES: usize = 200;
-
 /// Regression ceiling on the bench's `deploy_attempts_per_admission`
 /// (worst scenario, shipped configuration). The current fast path lands
-/// well under this; `repro bench` (and CI's bench job) fails when a
+/// well under this; `repro bench` (and CI's bench row) fails when a
 /// change pushes the admission hot loop back above it.
 const ATTEMPTS_PER_ADMISSION_CEILING: f64 = 8.0;
 
@@ -118,241 +114,137 @@ const ATTEMPTS_PER_ADMISSION_CEILING: f64 = 8.0;
 /// queue outgrows the window.
 const QUEUE_TOUCHES_PER_ADMISSION_CEILING: f64 = 64.0;
 
-/// Version of the metrics-artifact layout. Bump when the artifact's shape
-/// changes incompatibly (v1 was the unversioned PR-1 layout; v2 added this
-/// field and the chaos/recovery sections; v3 added span counts, the
-/// critical-path section, and the `trace` experiment's artifact; v4 split
-/// the report's `rejections` into attempt/distinct-task views, added the
-/// `requeue_wait_s` and recovery `redeployments` fields, and added the
-/// `bench` experiment's `BENCH_admission.json`; v5 added the elasticity
-/// block to the report serialization — `promotions`, `preemptions`,
-/// `units_gained`, `units_lost`, the saved/added service summaries — and
-/// the `elastic` experiment's `BENCH_elastic.json`; v6 added the report's
-/// conditional `links` block — failures/degradations/recoveries,
-/// retransmit and reroute counts, bytes retransmitted, severed paths,
-/// degraded time — the fault plan's `link_*` section, and the `netchaos`
-/// experiment's `repro-netchaos.json`; v7 added the report's optional
-/// `monitor` section — windowed rollups with mergeable quantile
-/// sketches, SLO specs/outcomes, and burn-rate alerts — the
-/// `points_kept`/`points_folded` fields the occupancy and queue-depth
-/// series gain when the time-series cap folds them, and the `monitor`
-/// experiment's `repro-monitor.json`; v8 added the `fuzz` experiment's
-/// `repro-fuzz.json` summary, the `fuzz_reproducer` documents under
-/// `target/fuzz-failures/`, and their shared `fuzz_summary`/
-/// `fuzz_reproducer` layouts; v9 added the `scaling` block of
-/// `BENCH_admission.json`).
+/// Version of every artifact's layout. Bump it when a layout changes
+/// incompatibly; DESIGN.md's "JSON artifact" paragraph records what each
+/// version added.
 const ARTIFACT_SCHEMA_VERSION: u64 = 9;
 
+// The fuzz summary carries its own layout under the same version number.
+const _: () = assert!(
+    vfpga_fuzz::FUZZ_SCHEMA_VERSION == ARTIFACT_SCHEMA_VERSION,
+    "fuzz and repro artifact schemas must move together"
+);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut which = "all".to_string();
     let mut json_path: Option<String> = None;
-    let mut seed: u64 = 2024;
-    let mut scaling_tasks: Option<usize> = None;
-    let mut fuzz_cases: usize = DEFAULT_FUZZ_CASES;
-    let mut fuzz_oracle: Option<String> = None;
-    let mut fuzz_replay: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tasks" {
+    let mut opts = Opts {
+        seed: 2024,
+        tasks: None,
+        cases: 200,
+        oracle: None,
+        replay: None,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json_path = Some(value(&mut args, &arg, "a path")),
+            "--seed" => opts.seed = value(&mut args, &arg, "an integer"),
             // The scaling curve runs at N/16, N/4 and N tasks.
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 16 => scaling_tasks = Some(n),
-                _ => {
-                    eprintln!("--tasks requires an integer of at least 16");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--cases" {
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) => fuzz_cases = n,
-                None => {
-                    eprintln!("--cases requires an integer");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--oracle" {
-            match args.get(i + 1) {
-                Some(name) => fuzz_oracle = Some(name.clone()),
-                None => {
-                    eprintln!("--oracle requires a name");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--replay" {
-            match args.get(i + 1) {
-                Some(p) => fuzz_replay = Some(p.clone()),
-                None => {
-                    eprintln!("--replay requires a path");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--json" {
-            match args.get(i + 1) {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--seed" {
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else {
-            which = args[i].clone();
-            i += 1;
+            "--tasks" => opts.tasks = Some(count(&mut args, &arg, 16)),
+            "--cases" => opts.cases = count(&mut args, &arg, 1),
+            "--oracle" => opts.oracle = Some(value(&mut args, &arg, "a name")),
+            "--replay" => opts.replay = Some(value(&mut args, &arg, "a path")),
+            _ => which = arg,
         }
     }
-    let all = which == "all";
-    let mut artifact: Vec<(&str, Json)> = Vec::new();
-    if all || which == "table2" {
-        print_table2();
-    }
-    if all || which == "table3" {
-        print_table3();
-    }
-    if all || which == "table4" {
-        print_table4();
-    }
-    if all || which == "fig11" {
-        artifact.push(("fig11", print_fig11()));
-    }
-    if all || which == "fig12" {
-        artifact.push(("fig12", print_fig12()));
-    }
-    if all || which == "overhead" {
-        print_overhead();
-    }
-    if all || which == "ablations" {
-        print_ablations();
-    }
-    if all || which == "density" {
-        print_density();
-    }
-    if all || which == "isolation" {
-        print_isolation();
-    }
-    if all || which == "chaos" {
-        artifact.push(("chaos", print_chaos(seed)));
-    }
-    if which == "trace" {
-        // The trace experiment writes its own artifact (a loadable Chrome
-        // trace, not a metrics document) and is opt-in, not part of `all`.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_TRACE_ARTIFACT.to_string());
-        print_trace(seed, &path);
-    }
-    if which == "bench" {
-        // The admission bench is opt-in (not part of `all`): it runs the
-        // 10k-task saturated scenario four times plus the fast path's
-        // scaling curve, and its artifact is a perf document, not a
-        // metrics one.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_BENCH_ARTIFACT.to_string());
-        print_bench(seed, scaling_tasks, &path);
-    }
-    if which == "elastic" {
-        // The elastic A/B is opt-in (not part of `all`): it runs the 10k
-        // bursty scenario twice and its artifact is a perf document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_ELASTIC_ARTIFACT.to_string());
-        print_elastic(seed, &path);
-    }
-    if which == "netchaos" {
-        // The network-chaos scenario is opt-in (not part of `all`): it
-        // layers link waves on the chaos scenario and its artifact is a
-        // fault-injection document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_NETCHAOS_ARTIFACT.to_string());
-        print_netchaos(seed, &path);
-    }
-    if which == "monitor" {
-        // The SLO-monitoring scenario is opt-in (not part of `all`): it
-        // runs the monitored chaos scenario twice (the second run is the
-        // byte-determinism gate) and its artifact is a telemetry document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_MONITOR_ARTIFACT.to_string());
-        print_monitor(seed, &path);
-    }
-    if which == "fuzz" {
-        // The differential fuzzer is opt-in (not part of `all`): its
-        // artifact is a fuzzing summary, not a metrics document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_FUZZ_ARTIFACT.to_string());
-        match &fuzz_replay {
-            Some(replay_path) => print_fuzz_replay(replay_path),
-            None => print_fuzz(seed, fuzz_cases, fuzz_oracle.clone(), &path),
+    let selected: Vec<&Scenario> = match which.as_str() {
+        "all" => SCENARIOS.iter().filter(|s| s.in_all).collect(),
+        name => match SCENARIOS.iter().find(|s| s.name == name) {
+            Some(s) => vec![s],
+            None => {
+                let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+                exit(2, format!(
+                    "unknown experiment `{which}`\nusage: repro [{}|all] [--json PATH] [--seed N] [--tasks N] [--cases N] [--oracle NAME] [--replay PATH]",
+                    names.join("|")
+                ))
+            }
+        },
+    };
+    let mut sections = Vec::new();
+    for s in selected {
+        let path = json_path.as_deref().or(s.artifact).unwrap_or_default();
+        if let Some(section) = (s.run)(&opts, path) {
+            sections.push((s.name, section));
         }
     }
-    if !all
-        && ![
-            "table2",
-            "table3",
-            "table4",
-            "fig11",
-            "fig12",
-            "overhead",
-            "ablations",
-            "density",
-            "isolation",
-            "chaos",
-            "trace",
-            "bench",
-            "elastic",
-            "netchaos",
-            "monitor",
-            "fuzz",
-        ]
-        .contains(&which.as_str())
-    {
-        eprintln!("unknown experiment `{which}`");
-        eprintln!("usage: repro [table2|table3|table4|fig11|fig12|overhead|ablations|density|isolation|chaos|trace|bench|elastic|netchaos|monitor|fuzz|all] [--json PATH] [--seed N] [--tasks N] [--cases N] [--oracle NAME] [--replay PATH]");
-        std::process::exit(2);
-    }
-    if !artifact.is_empty() {
-        let json_path = json_path.unwrap_or_else(|| DEFAULT_ARTIFACT.to_string());
-        let mut root = Json::obj()
-            .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-            .with("experiment", which.as_str());
-        for (key, value) in artifact {
-            root = root.with(key, value);
-        }
-        write_artifact(&json_path, &root.pretty(), "metrics");
+    if !sections.is_empty() {
+        let path = json_path.as_deref().unwrap_or(METRICS_ARTIFACT);
+        write_document(path, &which, sections);
     }
 }
 
+/// Takes the value after `flag` off `args`; exits 2 unless it parses.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    match args.next().and_then(|s| s.parse().ok()) {
+        Some(v) => v,
+        None => exit(2, format!("{flag} requires {what}")),
+    }
+}
+
+/// [`value`] for a count that must be at least `min`.
+fn count(args: &mut impl Iterator<Item = String>, flag: &str, min: usize) -> usize {
+    let what = format!("an integer of at least {min}");
+    let n = value(args, flag, &what);
+    if n < min {
+        exit(2, format!("{flag} requires {what}"));
+    }
+    n
+}
+
+/// The Prometheus sidecar of the artifact at `json_path`: one trailing
+/// `.json` swapped for `.prom`, or `.prom` appended.
+fn sidecar_path(json_path: &str) -> String {
+    format!(
+        "{}.prom",
+        json_path.strip_suffix(".json").unwrap_or(json_path)
+    )
+}
+
+/// Builds an artifact document — `schema_version`, `experiment`, then
+/// `fields` — pretty-printed and checked to parse back; exits 1 if it
+/// does not.
+fn document(experiment: &str, fields: Vec<(&'static str, Json)>) -> String {
+    let mut root = Json::obj()
+        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
+        .with("experiment", experiment);
+    for (key, value) in fields {
+        root = root.with(key, value);
+    }
+    let text = root.pretty();
+    if let Err(e) = Json::parse(&text) {
+        exit(
+            1,
+            format!("{experiment} artifact failed self-validation: {e:?}"),
+        );
+    }
+    text
+}
+
+/// Writes [`document`]`(experiment, fields)` to `path`.
+fn write_document(path: &str, experiment: &str, fields: Vec<(&'static str, Json)>) {
+    write_artifact(path, &document(experiment, fields));
+}
+
 /// Writes an artifact, creating parent directories; exits on failure.
-fn write_artifact(path: &str, text: &str, what: &str) {
+fn write_artifact(path: &str, text: &str) {
     if let Some(parent) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(parent);
     }
     match std::fs::write(path, text) {
-        Ok(()) => eprintln!("wrote {what} artifact to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {what} artifact {path}: {e}");
-            std::process::exit(1);
-        }
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => exit(1, format!("failed to write {path}: {e}")),
     }
 }
 
-fn print_ablations() {
+/// Prints `message` to stderr and exits with `code`: 1 for a failed run
+/// or gate, 2 for bad input.
+fn exit(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code)
+}
+
+fn print_ablations(_: &Opts, _: &str) -> Option<Json> {
     println!("== Ablations (DESIGN.md D1/D3/D4) ==");
     let catalog = Catalog::build();
     let d1 = ablations::partitioner(&catalog);
@@ -374,13 +266,14 @@ fn print_ablations() {
         d4.without_buffer.as_ms()
     );
     println!();
+    None
 }
 
 fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-fn print_table2() {
+fn print_table2(_: &Opts, _: &str) -> Option<Json> {
     println!("== Table 2: baseline accelerator implementations ==");
     println!(
         "{:<8} {:<9} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>7} {:>7}",
@@ -408,9 +301,10 @@ fn print_table2() {
         );
     }
     println!();
+    None
 }
 
-fn print_table3() {
+fn print_table3(_: &Opts, _: &str) -> Option<Json> {
     println!("== Table 3: one virtual block of the decomposed accelerator ==");
     println!(
         "{:<9} {:>8} {:>14} {:>14} {:>14} {:>12} {:>7} {:>7}",
@@ -435,9 +329,10 @@ fn print_table3() {
         );
     }
     println!();
+    None
 }
 
-fn print_table4() {
+fn print_table4(_: &Opts, _: &str) -> Option<Json> {
     println!("== Table 4: LSTM/GRU inference latency (batch 1) ==");
     let catalog = Catalog::build();
     println!(
@@ -465,9 +360,10 @@ fn print_table4() {
         }
     }
     println!();
+    None
 }
 
-fn print_fig11() -> Json {
+fn print_fig11(_: &Opts, _: &str) -> Option<Json> {
     println!("== Fig 11: impact of inter-FPGA communication latency (2 FPGAs) ==");
     let added = fig11::default_sweep_points();
     let mut series_json = Vec::new();
@@ -495,10 +391,10 @@ fn print_fig11() -> Json {
         }
     }
     println!();
-    Json::obj().with("series", Json::Arr(series_json))
+    Some(Json::obj().with("series", Json::Arr(series_json)))
 }
 
-fn print_fig12() -> Json {
+fn print_fig12(_: &Opts, _: &str) -> Option<Json> {
     println!("== Fig 12: aggregated system throughput (tasks/s) ==");
     let catalog = Catalog::build();
     let reports = fig12::run_all_sets_detailed(&catalog, 120, 2024);
@@ -531,10 +427,10 @@ fn print_fig12() -> Json {
         100.0 * (restricted_gain - 1.0)
     );
     println!();
-    fig12::to_json(&reports)
+    Some(fig12::to_json(&reports))
 }
 
-fn print_chaos(seed: u64) -> Json {
+fn print_chaos(&Opts { seed, .. }: &Opts, _: &str) -> Option<Json> {
     println!("== Chaos: workload set 5 under injected device failures (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = chaos::ChaosConfig {
@@ -566,16 +462,17 @@ fn print_chaos(seed: u64) -> Json {
         100.0 * r.degraded_mean_occupancy
     );
     if let Err(violation) = run.check_invariants() {
-        eprintln!("chaos invariant violated: {violation}");
-        std::process::exit(1);
+        exit(1, format!("chaos invariant violated: {violation}"));
     }
     if !run.exercised_recovery() {
-        eprintln!("chaos run did not exercise recovery (seed {seed}): no interruption migrated");
-        std::process::exit(1);
+        exit(
+            1,
+            format!("chaos run did not exercise recovery (seed {seed}): no interruption migrated"),
+        );
     }
     warn_on_dropped_trace_events(&run.report);
     println!();
-    run.to_json()
+    Some(run.to_json())
 }
 
 /// Surfaces trace-ring evictions: a dropped event means the ring was too
@@ -591,7 +488,10 @@ fn warn_on_dropped_trace_events(report: &vfpga_runtime::CloudReport) {
     }
 }
 
-fn print_trace(seed: u64, json_path: &str) {
+/// `trace`: the chaos scenario with spans on. Writes the critical-path
+/// decomposition and a Chrome trace-event array (open it in Perfetto or
+/// `chrome://tracing`), and the run's metrics as a Prometheus sidecar.
+fn print_trace(&Opts { seed, .. }: &Opts, json_path: &str) -> Option<Json> {
     println!("== Trace: span-instrumented chaos run (seed {seed}) ==");
     let mut compile_spans = SpanTracer::new();
     let catalog = Catalog::build_traced(&mut compile_spans);
@@ -601,8 +501,7 @@ fn print_trace(seed: u64, json_path: &str) {
     };
     let run = chaos::run(&catalog, &config);
     if let Err(violation) = run.check_invariants() {
-        eprintln!("chaos invariant violated: {violation}");
-        std::process::exit(1);
+        exit(1, format!("chaos invariant violated: {violation}"));
     }
     warn_on_dropped_trace_events(&run.report);
     let r = &run.report;
@@ -625,29 +524,31 @@ fn print_trace(seed: u64, json_path: &str) {
         }
     }
     let events = chrome_trace_events(&[&compile_spans, &r.spans]);
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "trace")
-        .with("seed", seed)
-        .with("trace_dropped", r.trace.dropped())
-        .with("spans", (compile_spans.len() + r.spans.len()) as u64)
-        .with("critical_path", cp.to_json())
-        .with("displayTimeUnit", "ms")
-        .with("traceEvents", events);
-    let text = root.pretty();
-    // Self-validate before writing: the artifact must round-trip through
-    // the parser (CI re-checks this on the written file).
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("trace artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "trace");
-    let prom_path = format!("{}.prom", json_path.trim_end_matches(".json"));
-    write_artifact(&prom_path, &prometheus_text(&r.metrics), "prometheus");
+    write_document(
+        json_path,
+        "trace",
+        vec![
+            ("seed", seed.into()),
+            ("trace_dropped", r.trace.dropped().into()),
+            (
+                "spans",
+                ((compile_spans.len() + r.spans.len()) as u64).into(),
+            ),
+            ("critical_path", cp.to_json()),
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", events),
+        ],
+    );
+    write_artifact(&sidecar_path(json_path), &prometheus_text(&r.metrics));
     println!();
+    None
 }
 
-fn print_bench(seed: u64, scaling_tasks: Option<usize>, json_path: &str) {
+/// `bench`: the [`admission`] fast path vs. its cache-and-gating-off
+/// baseline, plus the fast path's scaling curve at `--tasks` N, N/4 and
+/// N/16. Exits 1 if outcomes diverge, the probe reduction falls under 3x,
+/// or a ceiling above is crossed.
+fn print_bench(&Opts { seed, tasks, .. }: &Opts, json_path: &str) -> Option<Json> {
     println!(
         "== Bench: saturated admission, fast path vs pre-optimization baseline (seed {seed}) =="
     );
@@ -655,27 +556,23 @@ fn print_bench(seed: u64, scaling_tasks: Option<usize>, json_path: &str) {
     let defaults = admission::BenchConfig::default();
     let config = admission::BenchConfig {
         seed,
-        scaling_tasks: scaling_tasks.unwrap_or(defaults.scaling_tasks),
+        scaling_tasks: tasks.unwrap_or(defaults.scaling_tasks),
         ..defaults
     };
     let bench = admission::run(&catalog, &config);
     for s in &bench.scenarios {
-        println!(
-            "{:<7} current:  {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
-            s.name,
-            s.current.probes,
-            s.current.cache_hits,
-            s.current.attempts_per_admission(),
-            s.current.wall_ms
-        );
-        println!(
-            "{:<7} baseline: {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
-            "",
-            s.baseline.probes,
-            s.baseline.cache_hits,
-            s.baseline.attempts_per_admission(),
-            s.baseline.wall_ms
-        );
+        for (name, label, cost) in [
+            (s.name, "current: ", &s.current),
+            ("", "baseline:", &s.baseline),
+        ] {
+            println!(
+                "{name:<7} {label} {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
+                cost.probes,
+                cost.cache_hits,
+                cost.attempts_per_admission(),
+                cost.wall_ms
+            );
+        }
         println!(
             "{:<7} ratio: {:.1}x fewer probes, {:.1}x wall-clock; outcomes match: {}",
             "",
@@ -696,48 +593,46 @@ fn print_bench(seed: u64, scaling_tasks: Option<usize>, json_path: &str) {
     // The bench is also the regression gate: fail loudly rather than
     // writing an artifact that records a regression as if it were fine.
     if !bench.outcomes_match() {
-        eprintln!("bench FAILED: fast path changed admission outcomes");
-        std::process::exit(1);
+        exit(1, "bench FAILED: fast path changed admission outcomes");
     }
-    if bench.min_probe_ratio() < 3.0 {
-        eprintln!(
-            "bench FAILED: probe reduction {:.2}x is below the required 3x",
-            bench.min_probe_ratio()
+    let ratio = bench.min_probe_ratio();
+    if ratio < 3.0 {
+        exit(
+            1,
+            format!("bench FAILED: probe reduction {ratio:.2}x is below the required 3x"),
         );
-        std::process::exit(1);
     }
     let per_admission = bench.attempts_per_admission();
     if per_admission > ATTEMPTS_PER_ADMISSION_CEILING {
-        eprintln!(
+        exit(1, format!(
             "bench FAILED: {per_admission:.2} deploy attempts per admission exceeds the ceiling {ATTEMPTS_PER_ADMISSION_CEILING}"
-        );
-        std::process::exit(1);
+        ));
     }
     let touches = bench.queue_touches_per_admission();
     if touches > QUEUE_TOUCHES_PER_ADMISSION_CEILING {
-        eprintln!(
+        exit(1, format!(
             "bench FAILED: {touches:.2} queue touches per admission exceeds the ceiling {QUEUE_TOUCHES_PER_ADMISSION_CEILING}"
-        );
-        std::process::exit(1);
+        ));
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "bench")
-        .with(
-            "attempts_per_admission_ceiling",
-            ATTEMPTS_PER_ADMISSION_CEILING,
-        )
-        .with("bench", bench.to_json(QUEUE_TOUCHES_PER_ADMISSION_CEILING));
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("bench artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "bench");
+    write_document(
+        json_path,
+        "bench",
+        vec![
+            (
+                "attempts_per_admission_ceiling",
+                ATTEMPTS_PER_ADMISSION_CEILING.into(),
+            ),
+            ("bench", bench.to_json(QUEUE_TOUCHES_PER_ADMISSION_CEILING)),
+        ],
+    );
     println!();
+    None
 }
 
-fn print_elastic(seed: u64, json_path: &str) {
+/// `elastic`: the [`elastic`] on/off A/B. Exits 1 unless p95 latency
+/// strictly improves, both levers fire, and every outcome invariant holds
+/// in both modes.
+fn print_elastic(&Opts { seed, .. }: &Opts, json_path: &str) -> Option<Json> {
     println!("== Bench: elastic reprovisioning on vs off, bursty workload (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = elastic::ElasticConfig {
@@ -778,20 +673,15 @@ fn print_elastic(seed: u64, json_path: &str) {
         }
         std::process::exit(1);
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "elastic")
-        .with("bench", bench.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("elastic artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "elastic");
+    write_document(json_path, "elastic", vec![("bench", bench.to_json())]);
     println!();
+    None
 }
 
-fn print_netchaos(seed: u64, json_path: &str) {
+/// `netchaos`: the [`netchaos`] scenario. Exits 1 unless its invariants
+/// hold and the run failed segments, re-routed around them, and
+/// retransmitted corrupted transfers.
+fn print_netchaos(&Opts { seed, .. }: &Opts, json_path: &str) -> Option<Json> {
     println!("== NetChaos: workload set 5 under device and link fault waves (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = netchaos::NetChaosConfig {
@@ -825,31 +715,28 @@ fn print_netchaos(seed: u64, json_path: &str) {
     // The scenario is also the regression gate: fail loudly rather than
     // writing an artifact that records a broken run as if it were fine.
     if let Err(violation) = run.check_invariants() {
-        eprintln!("netchaos invariant violated: {violation}");
-        std::process::exit(1);
+        exit(1, format!("netchaos invariant violated: {violation}"));
     }
     if !run.exercised_link_faults() {
-        eprintln!(
-            "netchaos run did not exercise the link fault machinery (seed {seed}): \
+        exit(
+            1,
+            format!(
+                "netchaos run did not exercise the link fault machinery (seed {seed}): \
              {} failures, {} reroutes, {} retransmits",
-            r.link_failures, r.link_reroutes, r.link_retransmits
+                r.link_failures, r.link_reroutes, r.link_retransmits
+            ),
         );
-        std::process::exit(1);
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "netchaos")
-        .with("netchaos", run.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("netchaos artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "netchaos");
+    write_document(json_path, "netchaos", vec![("netchaos", run.to_json())]);
     println!();
+    None
 }
 
-fn print_monitor(seed: u64, json_path: &str) {
+/// `monitor`: the [`monitor`] scenario, run twice, with its rollups as a
+/// Prometheus sidecar. Exits 1 unless its invariants hold (alerts only in
+/// fault windows, one resolved, sketches within their error bound) and
+/// both runs give the same bytes.
+fn print_monitor(&Opts { seed, .. }: &Opts, json_path: &str) -> Option<Json> {
     println!("== Monitor: SLO burn-rate alerting under chaos+elastic (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = monitor::MonitorBenchConfig {
@@ -886,58 +773,40 @@ fn print_monitor(seed: u64, json_path: &str) {
         m.truncated_windows
     );
     for alert in bench.alerts() {
-        match alert.resolved_at {
-            Some(resolved) => println!(
-                "  alert `{}` on `{}`: fired {:.0} us, resolved {:.0} us (peak burn {:.2})",
-                alert.slo,
-                alert.key,
-                alert.fired_at.as_us(),
-                resolved.as_us(),
-                alert.peak_burn
-            ),
-            None => println!(
-                "  alert `{}` on `{}`: fired {:.0} us, still firing (peak burn {:.2})",
-                alert.slo,
-                alert.key,
-                alert.fired_at.as_us(),
-                alert.peak_burn
-            ),
-        }
+        let state = match alert.resolved_at {
+            Some(resolved) => format!("resolved {:.0} us", resolved.as_us()),
+            None => "still firing".to_string(),
+        };
+        println!(
+            "  alert `{}` on `{}`: fired {:.0} us, {state} (peak burn {:.2})",
+            alert.slo,
+            alert.key,
+            alert.fired_at.as_us(),
+            alert.peak_burn
+        );
     }
     // The scenario is also the regression gate: fail loudly rather than
     // writing an artifact that records a broken run as if it were fine.
     if let Err(violation) = bench.check_invariants() {
-        eprintln!("monitor invariant violated: {violation}");
-        std::process::exit(1);
+        exit(1, format!("monitor invariant violated: {violation}"));
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "monitor")
-        .with("monitor", bench.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("monitor artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
+    let text = document("monitor", vec![("monitor", bench.to_json())]);
     // Determinism gate: the whole scenario again, from scratch — the
     // artifact must come out byte-identical.
     let rerun = monitor::run(&catalog, &config);
-    let rerun_text = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "monitor")
-        .with("monitor", rerun.to_json())
-        .pretty();
-    if text != rerun_text {
-        eprintln!("monitor runs diverged: same seed {seed}, different artifact bytes");
-        std::process::exit(1);
+    if text != document("monitor", vec![("monitor", rerun.to_json())]) {
+        exit(
+            1,
+            format!("monitor runs diverged: same seed {seed}, different artifact bytes"),
+        );
     }
-    write_artifact(json_path, &text, "monitor");
-    let prom_path = json_path.replace(".json", ".prom");
-    write_artifact(&prom_path, &m.prometheus_text(), "monitor exposition");
+    write_artifact(json_path, &text);
+    write_artifact(&sidecar_path(json_path), &m.prometheus_text());
     println!();
+    None
 }
 
-fn print_overhead() {
+fn print_overhead(_: &Opts, _: &str) -> Option<Json> {
     println!("== Section 4.3: compilation overhead ==");
     let r = overhead::report();
     println!(
@@ -960,11 +829,11 @@ fn print_overhead() {
         "total overhead (amortized):         {} (paper: 24.6%)",
         pct(r.total_overhead_fraction)
     );
-    let _ = SimTime::ZERO; // keep the sim import for the shared prelude
     println!();
+    None
 }
 
-fn print_density() {
+fn print_density(_: &Opts, _: &str) -> Option<Json> {
     println!("== Code density: AS ISA vs general-purpose SIMD ==");
     println!(
         "{:<22} {:>14} {:>16} {:>9}",
@@ -980,9 +849,10 @@ fn print_density() {
         );
     }
     println!();
+    None
 }
 
-fn print_isolation() {
+fn print_isolation(_: &Opts, _: &str) -> Option<Json> {
     println!("== Section 4.4: performance isolation under spatial sharing ==");
     let task = vfpga_workload::RnnTask::new(vfpga_workload::RnnKind::Lstm, 512, 25);
     for r in isolation::measure(task, 3.0) {
@@ -999,20 +869,23 @@ fn print_isolation() {
         );
     }
     println!();
+    None
 }
 
-fn print_fuzz(seed: u64, cases: usize, oracle: Option<String>, path: &str) {
+/// `fuzz`: `--cases` differential-fuzzing cases per oracle (or only for
+/// `--oracle`), derived from `--seed`. Writes the summary, and shrunk
+/// reproducers under [`FUZZ_FAILURE_DIR`]; exits 1 on any failure.
+fn print_fuzz(opts: &Opts, path: &str) -> Option<Json> {
+    if let Some(replay) = &opts.replay {
+        print_fuzz_replay(replay);
+        return None;
+    }
+    let (seed, cases) = (opts.seed, opts.cases);
     println!("== Differential fuzzing: {cases} cases/oracle, seed {seed} ==");
     let mut config = vfpga_fuzz::FuzzConfig::new(seed, cases);
-    config.oracle = oracle;
+    config.oracle = opts.oracle.clone();
     config.failure_dir = Some(std::path::PathBuf::from(FUZZ_FAILURE_DIR));
-    let summary = match vfpga_fuzz::run_fuzz(&config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let summary = vfpga_fuzz::run_fuzz(&config).unwrap_or_else(|e| exit(2, e));
     for o in &summary.oracles {
         match &o.first_failure {
             None => println!("{:<24} {:>6} cases  ok", o.name, o.cases),
@@ -1029,49 +902,47 @@ fn print_fuzz(seed: u64, cases: usize, oracle: Option<String>, path: &str) {
         }
     }
     println!();
-    assert_eq!(
-        vfpga_fuzz::FUZZ_SCHEMA_VERSION,
-        ARTIFACT_SCHEMA_VERSION,
-        "fuzz and repro artifact schemas must move together"
-    );
-    write_artifact(path, &(summary.to_json().pretty() + "\n"), "fuzz");
+    write_artifact(path, &(summary.to_json().pretty() + "\n"));
     if !summary.passed() {
-        eprintln!(
-            "{} of {} cases violated an oracle; reproducers in {}",
-            summary.total_failures(),
-            summary.total_cases(),
-            FUZZ_FAILURE_DIR
+        exit(
+            1,
+            format!(
+                "{} of {} cases violated an oracle; reproducers in {FUZZ_FAILURE_DIR}",
+                summary.total_failures(),
+                summary.total_cases()
+            ),
         );
-        std::process::exit(1);
     }
+    None
 }
 
+/// `fuzz --replay PATH`: re-runs a saved reproducer through its oracle;
+/// exits 1 while the bug it captures still reproduces.
 fn print_fuzz_replay(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read reproducer {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("reproducer {path} is not JSON: {e}");
-            std::process::exit(2);
-        }
-    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| exit(2, format!("cannot read reproducer {path}: {e}")));
+    let doc = Json::parse(&text)
+        .unwrap_or_else(|e| exit(2, format!("reproducer {path} is not JSON: {e}")));
     match vfpga_fuzz::replay(&doc) {
         Ok((oracle, vfpga_fuzz::Verdict::Pass)) => {
             println!("replay {path}: oracle `{oracle}` passes (bug no longer reproduces)");
         }
-        Ok((oracle, vfpga_fuzz::Verdict::Fail(error))) => {
-            eprintln!("replay {path}: oracle `{oracle}` still fails: {error}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("replay {path}: {e}");
-            std::process::exit(2);
-        }
+        Ok((oracle, vfpga_fuzz::Verdict::Fail(error))) => exit(
+            1,
+            format!("replay {path}: oracle `{oracle}` still fails: {error}"),
+        ),
+        Err(e) => exit(2, format!("replay {path}: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sidecar_path;
+
+    #[test]
+    fn sidecar_swaps_one_trailing_json_for_prom() {
+        assert_eq!(sidecar_path("a.json"), "a.prom");
+        assert_eq!(sidecar_path("a"), "a.prom");
+        assert_eq!(sidecar_path("d.json/a.json"), "d.json/a.prom");
     }
 }

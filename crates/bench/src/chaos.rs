@@ -82,37 +82,53 @@ impl ChaosReport {
     /// Cross-layer invariants every chaos run must satisfy, regardless of
     /// seed. Returns the first violation as an error message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.report.accounts_for_all_arrivals() {
-            return Err(format!(
-                "accounting broken: {} completed + {} never deployed + {} lost != {}",
-                self.report.completed,
-                self.report.never_deployed,
-                self.report.lost,
-                self.report.arrivals
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.report.peak_occupancy) {
-            return Err(format!(
-                "peak occupancy {} outside [0, 1]",
-                self.report.peak_occupancy
-            ));
-        }
-        if self.report.migrated + self.report.lost > self.report.interrupted {
-            return Err(format!(
-                "{} migrated + {} lost exceed {} interruptions",
-                self.report.migrated, self.report.lost, self.report.interrupted
-            ));
-        }
-        Ok(())
+        check_fault_run(&self.report)
     }
 
     /// Serializes the run: seed, plan, and full report.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seed", self.seed)
-            .with("plan", self.plan.to_json())
-            .with("report", self.report.to_json())
+        fault_run_json(self.seed, &self.plan, &self.report)
     }
+}
+
+/// The arrivals accounting every fault-injected run must keep: each
+/// arrival completed, was never deployed, or was lost.
+pub(crate) fn check_accounting(report: &CloudReport) -> Result<(), String> {
+    if !report.accounts_for_all_arrivals() {
+        return Err(format!(
+            "accounting broken: {} completed + {} never deployed + {} lost != {}",
+            report.completed, report.never_deployed, report.lost, report.arrivals
+        ));
+    }
+    Ok(())
+}
+
+/// The invariants the chaos and network-chaos runs share:
+/// [`check_accounting`], peak occupancy within `[0, 1]`, and no more
+/// migrations plus losses than interruptions.
+pub(crate) fn check_fault_run(report: &CloudReport) -> Result<(), String> {
+    check_accounting(report)?;
+    if !(0.0..=1.0).contains(&report.peak_occupancy) {
+        return Err(format!(
+            "peak occupancy {} outside [0, 1]",
+            report.peak_occupancy
+        ));
+    }
+    if report.migrated + report.lost > report.interrupted {
+        return Err(format!(
+            "{} migrated + {} lost exceed {} interruptions",
+            report.migrated, report.lost, report.interrupted
+        ));
+    }
+    Ok(())
+}
+
+/// Serializes a fault-injected run: seed, plan, and full report.
+pub(crate) fn fault_run_json(seed: u64, plan: &FaultPlan, report: &CloudReport) -> Json {
+    Json::obj()
+        .with("seed", seed)
+        .with("plan", plan.to_json())
+        .with("report", report.to_json())
 }
 
 /// Runs the chaos scenario: workload set 5 (the mixed composition) under

@@ -304,7 +304,7 @@ mod tests {
     use super::*;
 
     /// A scaled-down config so the test suite stays fast; the real 10k
-    /// bench runs via `repro elastic` (and in CI's elastic job).
+    /// bench runs via `repro elastic` (and in CI's elastic rows).
     fn small() -> ElasticConfig {
         ElasticConfig {
             tasks: 500,

@@ -23,6 +23,7 @@ use vfpga_sim::{Alert, FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTim
 use vfpga_workload::{generate_workload, Composition};
 
 use crate::catalog::Catalog;
+use crate::chaos::check_accounting;
 
 /// Trace-ring capacity for monitored runs: sized so the default workload
 /// never evicts, keeping every rollup window a full measurement
@@ -117,15 +118,7 @@ impl MonitorBenchReport {
     /// regardless of seed. Returns the first violation as an error
     /// message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.report.accounts_for_all_arrivals() {
-            return Err(format!(
-                "accounting broken: {} completed + {} never deployed + {} lost != {}",
-                self.report.completed,
-                self.report.never_deployed,
-                self.report.lost,
-                self.report.arrivals
-            ));
-        }
+        check_accounting(&self.report)?;
         let monitor = self
             .report
             .monitor

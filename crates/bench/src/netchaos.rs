@@ -18,6 +18,7 @@ use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, Trac
 use vfpga_workload::{generate_workload, Composition};
 
 use crate::catalog::Catalog;
+use crate::chaos::{check_fault_run, fault_run_json};
 
 /// Trace-ring capacity for network-chaos runs. Link waves add
 /// per-transfer `Retransmit` events on top of the scheduler lifecycle, and
@@ -111,27 +112,7 @@ impl NetChaosReport {
     /// regardless of seed. Returns the first violation as an error
     /// message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.report.accounts_for_all_arrivals() {
-            return Err(format!(
-                "accounting broken: {} completed + {} never deployed + {} lost != {}",
-                self.report.completed,
-                self.report.never_deployed,
-                self.report.lost,
-                self.report.arrivals
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.report.peak_occupancy) {
-            return Err(format!(
-                "peak occupancy {} outside [0, 1]",
-                self.report.peak_occupancy
-            ));
-        }
-        if self.report.migrated + self.report.lost > self.report.interrupted {
-            return Err(format!(
-                "{} migrated + {} lost exceed {} interruptions",
-                self.report.migrated, self.report.lost, self.report.interrupted
-            ));
-        }
+        check_fault_run(&self.report)?;
         if self.report.link_severed > self.report.interrupted {
             return Err(format!(
                 "{} link severs exceed {} interruptions",
@@ -156,10 +137,7 @@ impl NetChaosReport {
 
     /// Serializes the run: seed, plan, and full report.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seed", self.seed)
-            .with("plan", self.plan.to_json())
-            .with("report", self.report.to_json())
+        fault_run_json(self.seed, &self.plan, &self.report)
     }
 }
 

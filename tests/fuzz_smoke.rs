@@ -1,6 +1,6 @@
 //! Tier-1 smoke tests for the differential-fuzzing subsystem: a small
 //! case budget through every oracle (the full budget runs in CI's `fuzz`
-//! job and via `repro fuzz`), byte-determinism of the summary, and the
+//! rows and via `repro fuzz`), byte-determinism of the summary, and the
 //! generate → serialize → replay round trip.
 
 use vfpga::fuzz::{case_rng, registry, replay, reproducer_json, run_fuzz, FuzzConfig, Verdict};
